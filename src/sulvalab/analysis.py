@@ -26,12 +26,9 @@ from .exactreal import (
     DomainError,
     Interval,
     Quantity,
-    _riv_div,
-    _riv_from_fraction,
-    _riv_mul,
-    _riv_width_ok,
     constructible,
     enclose,
+    enclose_percent,
 )
 
 __all__ = [
@@ -100,7 +97,10 @@ def implied_pi(rule_id: str, at: Coercible = 1) -> ConstructibleReal:
     rule = lookup(rule_id)
     if rule.kind not in PI_KINDS:
         raise NotApplicableError(f"rule kind {rule.kind!r} has no pi meaning")
-    out = rule.run(constructible(at))
+    return _implied_pi(rule_id, rule.run(constructible(at)))
+
+
+def _implied_pi(rule_id: str, out: RuleOutput) -> ConstructibleReal:
     claimed, actual = out.claimed, out.actual
     if claimed.c1.is_zero() and actual.c0.is_zero():
         return claimed.c0 / actual.c1
@@ -131,17 +131,12 @@ def relative_error(rule_id: str, precision_bits: int = 128) -> Interval:
     rule = lookup(rule_id)
     if rule.kind not in ERROR_KINDS:
         raise NotApplicableError(f"rule kind {rule.kind!r} has no error target")
-    approx, true = _error_operands(rule, rule.run(1))
-    difference = approx - true
-    bits = precision_bits + 8
-    hundred = _riv_from_fraction(Fraction(100), 16)
-    while True:
-        num = difference._interval_raw(bits)
-        den = true._interval_raw(bits)
-        lo, hi = _riv_mul(_riv_div(num, den, bits), hundred, bits)
-        if _riv_width_ok(lo, hi, precision_bits):
-            return Interval(lo, hi, precision_bits)
-        bits *= 2
+    return _relative_error(rule, rule.run(1), precision_bits)
+
+
+def _relative_error(rule: Rule, out: RuleOutput, precision_bits: int) -> Interval:
+    approx, true = _error_operands(rule, out)
+    return enclose_percent(approx - true, true, precision_bits)
 
 
 def report_for(
@@ -149,16 +144,16 @@ def report_for(
     precision_bits: int = 128,
     width_limit: Optional[Fraction] = REPORTING_WIDTH_PERCENT,
 ) -> RuleReport:
-    """Full adjudication of one rule at the given precision."""
+    """Full adjudication of one rule at the given precision; runs it once."""
     rule = lookup(rule_id)
     out = rule.run(1)
     pi_exact = pi_interval = None
     if rule.kind in PI_KINDS:
-        pi_exact = implied_pi(rule.id)
+        pi_exact = _implied_pi(rule.id, out)
         pi_interval = enclose(pi_exact, precision_bits)
     error = None
     if rule.kind in ERROR_KINDS:
-        error = relative_error(rule.id, precision_bits)
+        error = _relative_error(rule, out, precision_bits)
         if width_limit is not None and error.width() >= width_limit:
             raise ToleranceError(
                 f"error interval for {rule.id} is wider than the reporting "

@@ -39,6 +39,7 @@ from .geom import (
     circumscribed_circle,
     distance_squared,
     point,
+    similar,
     square_area,
     trisector_lines,
     vertical_line_circle_intersection,
@@ -110,32 +111,19 @@ def _positive(value: Coercible, what: str) -> ConstructibleReal:
     return x
 
 
-def _scale_point(p: Point, k: ConstructibleReal) -> Point:
-    return Point(p.x * k, p.y * k)
-
-
-def _scale_figure(figure: Figure, k: ConstructibleReal) -> Figure:
-    if isinstance(figure, Point):
-        return _scale_point(figure, k)
-    if isinstance(figure, Segment):
-        return Segment(_scale_point(figure.a, k), _scale_point(figure.b, k))
-    if isinstance(figure, Square):
-        return Square(_scale_point(figure.center, k), figure.half_side * k)
-    return Circle(_scale_point(figure.center, k), figure.radius * k)
-
-
 def _scaled(unit: RuleOutput, k: ConstructibleReal, power: int) -> RuleOutput:
     """Scale a unit-size output to size ``k``; quantities scale as ``k**power``."""
     if k.is_rational() and k.as_fraction() == 1:
         return unit
     factor = k**power
+    origin = Point(constructible(0), constructible(0))
     return RuleOutput(
-        figures=tuple(_scale_figure(f, k) for f in unit.figures),
+        figures=tuple(similar(f, k, origin) for f in unit.figures),
         claimed=unit.claimed.scale(factor),
         actual=unit.actual.scale(factor),
         witness_points=None
         if unit.witness_points is None
-        else tuple(_scale_point(p, k) for p in unit.witness_points),
+        else tuple(similar(p, k, origin) for p in unit.witness_points),
     )
 
 

@@ -8,43 +8,34 @@ output carries only the requested artifact; diagnostics go to stderr.
 
 from __future__ import annotations
 
+import functools
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import click
 
-from . import analysis, catalog, sulvascript, svg_render
-from .exactreal import DomainError, set_tower_cap, to_decimal
+from . import analysis, catalog, exactreal, sulvascript, svg_render
+from .exactreal import DomainError, to_decimal
 
 PRECISION_RANGE = click.IntRange(8, 1024)
 DIGITS_RANGE = click.IntRange(1, 60)
 TOWER_CAP_RANGE = click.IntRange(1, 64)
 
 
-@dataclass(frozen=True)
-class Config:
-    precision_bits: int = 128
-    digits: int = 12
-    output_format: str = "table"
-    tower_cap: int = 6
-
-
-def _apply(config: Config) -> None:
-    set_tower_cap(config.tower_cap)
-
-
 def _common_options(command):
+    """--digits and --tower-cap; the cap holds only while the command runs,
+    also when it ends through ``sys.exit``."""
+
+    @functools.wraps(command)
+    def run(*args, tower_cap: int, **kwargs):
+        previous = exactreal.tower_cap()
+        exactreal.set_tower_cap(tower_cap)
+        try:
+            return command(*args, **kwargs)
+        finally:
+            exactreal.set_tower_cap(previous)
+
     decorators = [
-        click.option(
-            "--precision-bits",
-            type=PRECISION_RANGE,
-            default=128,
-            envvar="SULVA_PRECISION_BITS",
-            show_default=True,
-            help="certified enclosure precision (flag wins over "
-            "SULVA_PRECISION_BITS)",
-        ),
         click.option(
             "--digits",
             type=DIGITS_RANGE,
@@ -61,8 +52,8 @@ def _common_options(command):
         ),
     ]
     for decorator in reversed(decorators):
-        command = decorator(command)
-    return command
+        run = decorator(run)
+    return run
 
 
 def _format_option(command):
@@ -146,18 +137,20 @@ def _analyze_rows(reports, digits: int) -> list[list[str]]:
 
 @main.command("analyze")
 @click.argument("rules", nargs=-1, required=True)
+@click.option(
+    "--precision-bits",
+    type=PRECISION_RANGE,
+    default=128,
+    envvar="SULVA_PRECISION_BITS",
+    show_default=True,
+    help="certified enclosure precision (flag wins over SULVA_PRECISION_BITS)",
+)
 @_common_options
 @_format_option
 def analyze_command(
-    rules: tuple[str, ...],
-    precision_bits: int,
-    digits: int,
-    tower_cap: int,
-    output_format: str,
+    rules: tuple[str, ...], precision_bits: int, digits: int, output_format: str
 ) -> None:
     """Adjudicate rules (or "all"): implied pi and certified error bounds."""
-    config = Config(precision_bits, digits, output_format, tower_cap)
-    _apply(config)
     if len(rules) == 1 and rules[0] == "all":
         rule_ids = list(catalog.rule_ids())
     else:
@@ -169,17 +162,17 @@ def analyze_command(
         sys.exit(2)
     try:
         reports = [
-            analysis.report_for(rule_id, config.precision_bits)
+            analysis.report_for(rule_id, precision_bits)
             for rule_id in resolved
         ]
     except analysis.ToleranceError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    if config.output_format == "json":
+    if output_format == "json":
         click.echo(analysis.reports_to_json(reports))
         return
     header = ["RULE", "KIND", "IMPLIED_PI", "REL_ERR_%", "BASIS", "NOTES"]
-    click.echo(_table(_analyze_rows(reports, config.digits), header), nl=False)
+    click.echo(_table(_analyze_rows(reports, digits), header), nl=False)
 
 
 @main.command("run")
@@ -194,16 +187,8 @@ def analyze_command(
     help="write the emitted figures as SVG",
 )
 @_common_options
-def run_command(
-    script: str,
-    svg_path: str | None,
-    precision_bits: int,
-    digits: int,
-    tower_cap: int,
-) -> None:
+def run_command(script: str, svg_path: str | None, digits: int) -> None:
     """Parse and evaluate a .sulva construction script."""
-    config = Config(precision_bits, digits, "table", tower_cap)
-    _apply(config)
     try:
         source = open(script, encoding="utf-8").read()
     except OSError as exc:
@@ -217,7 +202,7 @@ def run_command(
     result = sulvascript.evaluate(parsed.script)
     for diagnostic in result.diagnostics:
         click.echo(f"{script}:{diagnostic}", err=True)
-    report = sulvascript.render_report(result, config.digits)
+    report = sulvascript.render_report(result, digits)
     if report:
         click.echo(report, nl=False)
     if svg_path is not None:
@@ -255,13 +240,9 @@ def render_command(
     output: str,
     no_witness_points: bool,
     labels: bool,
-    precision_bits: int,
     digits: int,
-    tower_cap: int,
 ) -> None:
     """Construct a rule at unit size and render it as SVG."""
-    config = Config(precision_bits, digits, "table", tower_cap)
-    _apply(config)
     try:
         entry = catalog.lookup(rule)
     except catalog.UnknownRuleError as exc:
@@ -278,7 +259,7 @@ def render_command(
         options = svg_render.RenderOptions(
             width=size,
             height=size,
-            label_digits=min(config.digits, 12),
+            label_digits=min(digits, 12),
             show_labels=labels,
             show_witness_points=not no_witness_points,
         )

@@ -28,10 +28,11 @@ deterministic and values may be shared freely between threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, TypeVar, Union
 
 __all__ = [
     "CapacityError",
@@ -45,6 +46,7 @@ __all__ = [
     "UnsupportedQuantityError",
     "constructible",
     "enclose",
+    "enclose_percent",
     "from_rational",
     "normalize",
     "pi_enclosure",
@@ -126,10 +128,6 @@ class Dyadic:
         shift = (man & -man).bit_length() - 1
         return Dyadic(man >> shift, exp + shift)
 
-    @staticmethod
-    def from_int(value: int) -> "Dyadic":
-        return Dyadic.of(value, 0)
-
     def as_fraction(self) -> Fraction:
         if self.exp >= 0:
             return Fraction(self.man << self.exp)
@@ -168,9 +166,6 @@ class Dyadic:
 
     def __neg__(self) -> "Dyadic":
         return Dyadic(-self.man, self.exp) if self.man else _DY_ZERO
-
-    def __float__(self) -> float:
-        return self.man * 2.0**self.exp
 
     def __str__(self) -> str:
         return self.as_decimal()
@@ -256,10 +251,6 @@ def _riv_add(a: _Raw, b: _Raw, bits: int) -> _Raw:
     return _fraction_floor(lo, bits), _fraction_ceil(hi, bits)
 
 
-def _riv_sub(a: _Raw, b: _Raw, bits: int) -> _Raw:
-    return _riv_add(a, (-b[1], -b[0]), bits)
-
-
 def _riv_mul(a: _Raw, b: _Raw, bits: int) -> _Raw:
     a0, a1 = a[0].as_fraction(), a[1].as_fraction()
     b0, b1 = b[0].as_fraction(), b[1].as_fraction()
@@ -287,6 +278,51 @@ def _riv_width_ok(lo: Dyadic, hi: Dyadic, precision_bits: int) -> bool:
     width = hi.as_fraction() - lo.as_fraction()
     scale = max(Fraction(1), abs(hi.as_fraction()))
     return width <= Fraction(2) ** (1 - precision_bits) * scale
+
+
+_T = TypeVar("_T")
+
+
+def _refine(
+    encloser: Callable[[int], _Raw],
+    bits: int,
+    decide: Callable[[Dyadic, Dyadic, int], Optional[_T]],
+    cap: Optional[int] = None,
+    overflow: str = "",
+) -> _T:
+    """Enclose at ``bits``, doubling it until ``decide(lo, hi, bits)`` answers.
+
+    An undecided round past ``cap`` bits raises :class:`CapacityError` with
+    the message ``overflow`` instead of doubling again.
+    """
+    while True:
+        lo, hi = encloser(bits)
+        answer = decide(lo, hi, bits)
+        if answer is not None:
+            return answer
+        if cap is not None and bits > cap:
+            raise CapacityError(overflow)
+        bits *= 2
+
+
+def _interval_sign(lo: Dyadic, hi: Dyadic, bits: int) -> Optional[int]:
+    """The sign an enclosure proves, or None while it straddles zero."""
+    if lo.man > 0:
+        return 1
+    if hi.man < 0:
+        return -1
+    return None
+
+
+def _certified(encloser: Callable[[int], _Raw], precision_bits: int) -> Interval:
+    """The first enclosure from ``precision_bits + 8`` bits up that is tight."""
+
+    def decide(lo: Dyadic, hi: Dyadic, bits: int) -> Optional[Interval]:
+        if _riv_width_ok(lo, hi, precision_bits):
+            return Interval(lo, hi, precision_bits)
+        return None
+
+    return _refine(encloser, precision_bits + 8, decide)
 
 
 @dataclass(frozen=True, slots=True)
@@ -423,6 +459,28 @@ def _is_ancestor(a: Optional[Tower], b: Optional[Tower]) -> bool:
     return False
 
 
+def _coerce(value: object) -> Optional["ConstructibleReal"]:
+    if isinstance(value, ConstructibleReal):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return _rational(Fraction(value))
+    return None
+
+
+def _comparison(
+    coerce: Callable[[object], object], holds: Callable[[int, int], bool]
+) -> Callable:
+    """A rich comparison decided by one exact ``sign()`` of the difference."""
+
+    def compare(self, other):
+        o = coerce(other)
+        if o is None:
+            return NotImplemented
+        return holds((self - o).sign(), 0)
+
+    return compare
+
+
 class ConstructibleReal:
     """Exact element of a quadratic tower over the rationals.
 
@@ -531,51 +589,24 @@ class ConstructibleReal:
             f = self.frac
             assert f is not None
             return (f > 0) - (f < 0)
-        bits = 32
-        norm_checked = False
-        while True:
-            lo, hi = self._interval_raw(bits)
-            if lo.man > 0:
-                return 1
-            if hi.man < 0:
-                return -1
-            if bits >= _sign_bits and not norm_checked:
-                # canonical nonzero elements cannot be numerically zero,
-                # but run the conjugate-norm decision before refining on
-                if _norm_is_zero(self):
-                    return 0
-                norm_checked = True
-            bits *= 2
+        # canonical nonzero elements cannot be numerically zero, but the
+        # conjugate-norm decision runs once, in the first round (rounds are
+        # at 32 * 2**k bits) that reaches _sign_bits, before refining on
+        norm_round = max(32, 1 << (_sign_bits - 1).bit_length())
 
-    def __eq__(self, other: object) -> bool:
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return _sub(self, o).sign() == 0
+        def decide(lo: Dyadic, hi: Dyadic, bits: int) -> Optional[int]:
+            s = _interval_sign(lo, hi, bits)
+            if s is None and bits == norm_round and _norm_is_zero(self):
+                return 0
+            return s
 
-    def __lt__(self, other: Coercible) -> bool:
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return _sub(self, o).sign() < 0
+        return _refine(self._interval_raw, 32, decide)
 
-    def __le__(self, other: Coercible) -> bool:
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return _sub(self, o).sign() <= 0
-
-    def __gt__(self, other: Coercible) -> bool:
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return _sub(self, o).sign() > 0
-
-    def __ge__(self, other: Coercible) -> bool:
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return _sub(self, o).sign() >= 0
+    __eq__ = _comparison(_coerce, operator.eq)
+    __lt__ = _comparison(_coerce, operator.lt)
+    __le__ = _comparison(_coerce, operator.le)
+    __gt__ = _comparison(_coerce, operator.gt)
+    __ge__ = _comparison(_coerce, operator.ge)
 
     __hash__ = None  # type: ignore[assignment]  # equality is numeric, not structural
 
@@ -610,10 +641,6 @@ class ConstructibleReal:
 
     def enclose(self, precision_bits: int) -> Interval:
         return enclose(self, precision_bits)
-
-    def __float__(self) -> float:
-        lo, hi = self._interval_raw(64)
-        return float((lo.as_fraction() + hi.as_fraction()) / 2)
 
     # -- rendering -----------------------------------------------------------
 
@@ -671,14 +698,6 @@ def _node(tower: Tower, a: ConstructibleReal, b: ConstructibleReal) -> Construct
 
 _ZERO = _rational(Fraction(0))
 _ONE = _rational(Fraction(1))
-
-
-def _coerce(value: object) -> Optional[ConstructibleReal]:
-    if isinstance(value, ConstructibleReal):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return _rational(Fraction(value))
-    return None
 
 
 def constructible(value: Coercible) -> ConstructibleReal:
@@ -957,17 +976,20 @@ def enclose(value: Coercible, precision_bits: int) -> Interval:
     """Certified interval containing the value, at relative width 2**(1-p)."""
     if precision_bits < 4:
         raise DomainError("precision_bits must be at least 4")
-    x = constructible(value)
-    bits = precision_bits + 8
-    while True:
-        lo, hi = x._interval_raw(bits)
-        if _riv_width_ok(lo, hi, precision_bits):
-            return Interval(lo, hi, precision_bits)
-        bits *= 2
+    return _certified(constructible(value)._interval_raw, precision_bits)
 
 
 # --------------------------------------------------------------------------
 # pi-linear quantities
+
+
+def _coerce_quantity(value: object) -> Optional["Quantity"]:
+    if isinstance(value, Quantity):
+        return value
+    inner = _coerce(value)
+    if inner is None:
+        return None
+    return Quantity(inner, 0)
 
 
 class Quantity:
@@ -995,17 +1017,8 @@ class Quantity:
 
     # -- arithmetic ----------------------------------------------------------
 
-    @staticmethod
-    def _coerce(value: object) -> Optional["Quantity"]:
-        if isinstance(value, Quantity):
-            return value
-        inner = _coerce(value)
-        if inner is None:
-            return None
-        return Quantity(inner, 0)
-
     def __add__(self, other: object) -> "Quantity":
-        o = Quantity._coerce(other)
+        o = _coerce_quantity(other)
         if o is None:
             return NotImplemented
         return Quantity(self.c0 + o.c0, self.c1 + o.c1)
@@ -1013,13 +1026,13 @@ class Quantity:
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "Quantity":
-        o = Quantity._coerce(other)
+        o = _coerce_quantity(other)
         if o is None:
             return NotImplemented
         return Quantity(self.c0 - o.c0, self.c1 - o.c1)
 
     def __rsub__(self, other: object) -> "Quantity":
-        o = Quantity._coerce(other)
+        o = _coerce_quantity(other)
         if o is None:
             return NotImplemented
         return o - self
@@ -1032,7 +1045,7 @@ class Quantity:
         return Quantity(self.c0 * k, self.c1 * k)
 
     def __mul__(self, other: object) -> "Quantity":
-        o = Quantity._coerce(other)
+        o = _coerce_quantity(other)
         if o is None:
             return NotImplemented
         if not self.c1.is_zero() and not o.c1.is_zero():
@@ -1063,49 +1076,19 @@ class Quantity:
             return self.c0.sign()
         if self.c0.is_zero():
             return self.c1.sign()
-        bits = 32
-        while True:
-            lo, hi = self._interval_raw(bits)
-            if lo.man > 0:
-                return 1
-            if hi.man < 0:
-                return -1
-            if bits > 4096:
-                raise CapacityError(
-                    "cannot separate quantity from zero within the shipped "
-                    "pi precision"
-                )
-            bits *= 2
+        return _refine(
+            self._interval_raw,
+            32,
+            _interval_sign,
+            4096,
+            "cannot separate quantity from zero within the shipped pi precision",
+        )
 
-    def __eq__(self, other: object) -> bool:
-        o = Quantity._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() == 0
-
-    def __lt__(self, other: object) -> bool:
-        o = Quantity._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
-
-    def __le__(self, other: object) -> bool:
-        o = Quantity._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other: object) -> bool:
-        o = Quantity._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __ge__(self, other: object) -> bool:
-        o = Quantity._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
+    __eq__ = _comparison(_coerce_quantity, operator.eq)
+    __lt__ = _comparison(_coerce_quantity, operator.lt)
+    __le__ = _comparison(_coerce_quantity, operator.le)
+    __gt__ = _comparison(_coerce_quantity, operator.gt)
+    __ge__ = _comparison(_coerce_quantity, operator.ge)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -1126,16 +1109,7 @@ class Quantity:
                 f"pi-quantities cannot be enclosed beyond "
                 f"{PI_PRECISION_CAP - 16} bits"
             )
-        bits = precision_bits + 8
-        while True:
-            lo, hi = self._interval_raw(bits)
-            if _riv_width_ok(lo, hi, precision_bits):
-                return Interval(lo, hi, precision_bits)
-            bits *= 2
-
-    def __float__(self) -> float:
-        lo, hi = self._interval_raw(64)
-        return float((lo.as_fraction() + hi.as_fraction()) / 2)
+        return _certified(self._interval_raw, precision_bits)
 
     # -- rendering ----------------------------------------------------------------
 
@@ -1161,6 +1135,20 @@ class Quantity:
 
 
 PI = Quantity(0, 1)
+
+
+def enclose_percent(num: Quantity, den: Quantity, precision_bits: int) -> Interval:
+    """Certified interval containing ``100*num/den``, at relative width 2**(1-p)."""
+    if precision_bits < 4:
+        raise DomainError("precision_bits must be at least 4")
+    hundred = _riv_from_fraction(Fraction(100), 16)
+
+    def percent(bits: int) -> _Raw:
+        # x100 after the division: scaling the numerator first rounds differently
+        quotient = _riv_div(num._interval_raw(bits), den._interval_raw(bits), bits)
+        return _riv_mul(quotient, hundred, bits)
+
+    return _certified(percent, precision_bits)
 
 
 # --------------------------------------------------------------------------
@@ -1216,14 +1204,11 @@ def to_decimal(value: Union[Coercible, Quantity], digits: int) -> str:
         encloser = x._interval_raw
     # irrational: refine until both endpoints round to the same decimal
     scale = 10**digits
-    bits = 64
-    while True:
-        lo, hi = encloser(bits)
+
+    def decide(lo: Dyadic, hi: Dyadic, bits: int) -> Optional[str]:
         n_lo = (lo.as_fraction() * scale + Fraction(1, 2)).__floor__()
         n_hi = (hi.as_fraction() * scale + Fraction(1, 2)).__floor__()
-        if n_lo == n_hi:
-            return _format_scaled(n_lo, digits) + "…"
-        if bits > 8192:
-            raise CapacityError("decimal rendering did not converge")
-        bits *= 2
+        return _format_scaled(n_lo, digits) + "…" if n_lo == n_hi else None
+
+    return _refine(encloser, 64, decide, 8192, "decimal rendering did not converge")
 

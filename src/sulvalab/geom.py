@@ -33,6 +33,7 @@ __all__ = [
     "distance_squared",
     "divide_segment",
     "point",
+    "similar",
     "square_area",
     "trisector_lines",
     "vertical_line_circle_intersection",
@@ -48,13 +49,6 @@ class Point:
         if not isinstance(other, Point):
             return NotImplemented
         return self.x == other.x and self.y == other.y
-
-    def translated(self, dx: Coercible, dy: Coercible) -> "Point":
-        return Point(self.x + constructible(dx), self.y + constructible(dy))
-
-    def scaled(self, factor: Coercible) -> "Point":
-        k = constructible(factor)
-        return Point(self.x * k, self.y * k)
 
 
 def point(x: Coercible, y: Coercible) -> Point:
@@ -115,6 +109,33 @@ class Circle:
 
 
 Figure = Union[Point, Segment, Square, Circle]
+
+
+def similar(figure: Figure, k: ConstructibleReal, offset: Point) -> Figure:
+    """The image of ``figure`` under ``p -> k*p + offset``, for ``k > 0``.
+
+    The multiply is skipped when ``k`` is 1 and the add when ``offset`` is
+    the origin, so a length the map leaves alone stays the same value.
+    """
+    scale = not (k.is_rational() and k.as_fraction() == 1)
+    shift = not (offset.x.is_zero() and offset.y.is_zero())
+    if isinstance(figure, Point):
+        anchors: tuple[Point, ...] = (figure,)
+    elif isinstance(figure, Segment):
+        anchors = (figure.a, figure.b)
+    else:
+        anchors = (figure.center,)
+    images = []
+    for p in anchors:
+        x, y = (p.x * k, p.y * k) if scale else (p.x, p.y)
+        images.append(Point(x + offset.x, y + offset.y) if shift else Point(x, y))
+    if isinstance(figure, Point):
+        return images[0]
+    if isinstance(figure, Segment):
+        return Segment(images[0], images[1])
+    if isinstance(figure, Square):
+        return Square(images[0], figure.half_side * k if scale else figure.half_side)
+    return Circle(images[0], figure.radius * k if scale else figure.radius)
 
 
 def divide_segment(segment: Segment, parts: int) -> list[Point]:

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from functools import partial
+from typing import Callable, Optional, Union
 
 from . import catalog
 from .exactreal import (
@@ -55,6 +56,7 @@ from .geom import (
     circumscribed_circle,
     distance_squared,
     divide_segment,
+    similar,
     square_area,
     trisector_lines,
     vertical_line_circle_intersection,
@@ -253,54 +255,6 @@ class _Lexer:
         return out
 
 
-# -- vocabulary -----------------------------------------------------------------
-
-# name -> arity of every callable; rule ids and aliases are appended below
-_BUILTIN_ARITY: dict[str, int] = {
-    "add": 2,
-    "sub": 2,
-    "mul": 2,
-    "div": 2,
-    "neg": 1,
-    "sqrt": 1,
-    "pi": 0,
-    "point": 2,
-    "segment": 2,
-    "square": 2,
-    "circle": 2,
-    "center": 1,
-    "midpoint": 1,
-    "radius": 1,
-    "xcoord": 1,
-    "ycoord": 1,
-    "divide": 2,
-    "circumcircle": 1,
-    "trisectors_vertical": 1,
-    "trisectors_horizontal": 1,
-    "intersect_vertical": 2,
-    "intersect_horizontal": 2,
-    "distance2": 2,
-    "area": 1,
-    "circumference": 1,
-    "nth": 2,
-    "count": 1,
-    "claimed": 1,
-    "actual": 1,
-    "witness": 2,
-    "hypotenuse": 2,
-    "sqrt2_sulba": 0,
-}
-
-_RULE_NAMES = tuple(
-    name
-    for name in list(catalog.rule_ids()) + list(catalog._ALIASES)
-    if name not in _BUILTIN_ARITY
-)
-
-ARITY: dict[str, int] = dict(_BUILTIN_ARITY)
-ARITY.update({name: 1 for name in _RULE_NAMES})
-
-
 # -- parser ---------------------------------------------------------------------
 
 
@@ -482,7 +436,7 @@ class _Parser:
         if self.expect_symbol(")") is None:
             raise _SyntaxAbort
         name = name_token.text
-        arity = ARITY.get(name)
+        arity, _ = _VOCABULARY.get(name, (None, None))
         if arity is None:
             self.error(f"unknown name {name!r}", name_token)
         elif arity != len(args):
@@ -631,31 +585,19 @@ def _rule_input(rule: catalog.Rule, value: Value) -> tuple[ConstructibleReal, Po
     raise _EvalError(f"{rule.id} takes a number or a figure")
 
 
-def _translate_figure(figure: Figure, center: Point) -> Figure:
-    if center.x.is_zero() and center.y.is_zero():
-        return figure
-    dx, dy = center.x, center.y
-    if isinstance(figure, Point):
-        return figure.translated(dx, dy)
-    if isinstance(figure, Segment):
-        return Segment(figure.a.translated(dx, dy), figure.b.translated(dx, dy))
-    if isinstance(figure, Square):
-        return Square(figure.center.translated(dx, dy), figure.half_side)
-    return Circle(figure.center.translated(dx, dy), figure.radius)
-
-
 def _call_rule(rule: catalog.Rule, value: Value) -> catalog.RuleOutput:
     size, center = _rule_input(rule, value)
     out = rule.run(size)
     if center.x.is_zero() and center.y.is_zero():
         return out
+    one = constructible(1)
     return catalog.RuleOutput(
-        figures=tuple(_translate_figure(f, center) for f in out.figures),
+        figures=tuple(similar(f, one, center) for f in out.figures),
         claimed=out.claimed,
         actual=out.actual,
         witness_points=None
         if out.witness_points is None
-        else tuple(p.translated(center.x, center.y) for p in out.witness_points),
+        else tuple(similar(p, one, center) for p in out.witness_points),
     )
 
 
@@ -666,119 +608,151 @@ def _horizontal_intersections(y0: ConstructibleReal, circle: Circle) -> list[Poi
     ]
 
 
-def _builtin(name: str, args: list[Value]) -> Value:
-    if name == "add" or name == "sub" or name == "mul" or name == "div":
-        return _numeric_binop(name, args[0], args[1])
-    if name == "neg":
-        q = _need_quantityish(args[0], "operand")
-        return -q.c0 if q.is_constant() else -q
-    if name == "sqrt":
-        return sqrt(_need_number(args[0], "sqrt argument"))
-    if name == "pi":
-        return Quantity(0, 1)
-    if name == "point":
-        return Point(
-            _need_number(args[0], "x coordinate"),
-            _need_number(args[1], "y coordinate"),
+def _negate(value: Value) -> Value:
+    q = _need_quantityish(value, "operand")
+    return -q.c0 if q.is_constant() else -q
+
+
+def _center(figure: Value) -> Point:
+    if isinstance(figure, (Square, Circle)):
+        return figure.center
+    raise _EvalError("center() takes a square or a circle")
+
+
+def _area(figure: Value) -> Quantity:
+    if isinstance(figure, Square):
+        return square_area(figure)
+    if isinstance(figure, Circle):
+        return circle_area(figure)
+    raise _EvalError("area() takes a square or a circle")
+
+
+def _nth(items: Value, position: Value) -> Value:
+    if not isinstance(items, list):
+        raise _EvalError("nth() takes a list")
+    index = _need_index(position, "index")
+    if not 1 <= index <= len(items):
+        raise _EvalError(f"index {index} out of range for a list of {len(items)}")
+    return items[index - 1]
+
+
+def _count(items: Value) -> ConstructibleReal:
+    if not isinstance(items, list):
+        raise _EvalError("count() takes a list")
+    return constructible(len(items))
+
+
+def _witness(value: Value, position: Value) -> Point:
+    out = _need(value, catalog.RuleOutput, "rule output")
+    if out.witness_points is None:
+        raise _EvalError("this rule output has no witness points")
+    index = _need_index(position, "index")
+    if not 1 <= index <= len(out.witness_points):
+        raise _EvalError(
+            f"index {index} out of range for {len(out.witness_points)} "
+            "witness points"
         )
-    if name == "segment":
-        return Segment(
-            _need(args[0], Point, "segment start"),
-            _need(args[1], Point, "segment end"),
-        )
-    if name == "square":
-        return Square(
-            _need(args[0], Point, "square center"),
-            _need_number(args[1], "half side"),
-        )
-    if name == "circle":
-        return Circle(
-            _need(args[0], Point, "circle center"),
-            _need_number(args[1], "radius"),
-        )
-    if name == "center":
-        figure = args[0]
-        if isinstance(figure, (Square, Circle)):
-            return figure.center
-        raise _EvalError("center() takes a square or a circle")
-    if name == "midpoint":
-        return _need(args[0], Segment, "argument").midpoint()
-    if name == "radius":
-        return _need(args[0], Circle, "argument").radius
-    if name == "xcoord":
-        return _need(args[0], Point, "argument").x
-    if name == "ycoord":
-        return _need(args[0], Point, "argument").y
-    if name == "divide":
-        segment = _need(args[0], Segment, "argument")
-        return divide_segment(segment, _need_index(args[1], "part count"))
-    if name == "circumcircle":
-        return circumscribed_circle(_need(args[0], Square, "argument"))
-    if name == "trisectors_vertical":
-        return list(trisector_lines(_need(args[0], Square, "argument"), "vertical"))
-    if name == "trisectors_horizontal":
-        return list(trisector_lines(_need(args[0], Square, "argument"), "horizontal"))
-    if name == "intersect_vertical":
-        return vertical_line_circle_intersection(
-            _need_number(args[0], "line abscissa"),
-            _need(args[1], Circle, "circle"),
-        )
-    if name == "intersect_horizontal":
-        return _horizontal_intersections(
-            _need_number(args[0], "line ordinate"),
-            _need(args[1], Circle, "circle"),
-        )
-    if name == "distance2":
-        return distance_squared(
-            _need(args[0], Point, "first point"),
-            _need(args[1], Point, "second point"),
-        )
-    if name == "area":
-        figure = args[0]
-        if isinstance(figure, Square):
-            return square_area(figure)
-        if isinstance(figure, Circle):
-            return circle_area(figure)
-        raise _EvalError("area() takes a square or a circle")
-    if name == "circumference":
-        return circle_circumference_true(_need(args[0], Circle, "argument"))
-    if name == "nth":
-        items = args[0]
-        if not isinstance(items, list):
-            raise _EvalError("nth() takes a list")
-        index = _need_index(args[1], "index")
-        if not 1 <= index <= len(items):
-            raise _EvalError(
-                f"index {index} out of range for a list of {len(items)}"
-            )
-        return items[index - 1]
-    if name == "count":
-        if not isinstance(args[0], list):
-            raise _EvalError("count() takes a list")
-        return constructible(len(args[0]))
-    if name == "claimed":
-        return _need(args[0], catalog.RuleOutput, "argument").claimed
-    if name == "actual":
-        return _need(args[0], catalog.RuleOutput, "argument").actual
-    if name == "witness":
-        out = _need(args[0], catalog.RuleOutput, "rule output")
-        if out.witness_points is None:
-            raise _EvalError("this rule output has no witness points")
-        index = _need_index(args[1], "index")
-        if not 1 <= index <= len(out.witness_points):
-            raise _EvalError(
-                f"index {index} out of range for {len(out.witness_points)} "
-                "witness points"
-            )
-        return out.witness_points[index - 1]
-    if name == "hypotenuse":
-        return catalog.hypotenuse(
-            _need_number(args[0], "length"), _need_number(args[1], "width")
-        )
-    if name == "sqrt2_sulba":
-        return catalog.sqrt2_sulba_constant()
-    rule = catalog.lookup(name)
-    return _call_rule(rule, args[0])
+    return out.witness_points[index - 1]
+
+
+# -- vocabulary -----------------------------------------------------------------
+
+# name -> (arity, implementation) of every callable: the parser checks calls
+# against it and the evaluator dispatches through it
+_VOCABULARY: dict[str, tuple[int, Callable[..., Value]]] = {
+    "add": (2, partial(_numeric_binop, "add")),
+    "sub": (2, partial(_numeric_binop, "sub")),
+    "mul": (2, partial(_numeric_binop, "mul")),
+    "div": (2, partial(_numeric_binop, "div")),
+    "neg": (1, _negate),
+    "sqrt": (1, lambda x: sqrt(_need_number(x, "sqrt argument"))),
+    "pi": (0, lambda: Quantity(0, 1)),
+    "point": (
+        2,
+        lambda x, y: Point(
+            _need_number(x, "x coordinate"), _need_number(y, "y coordinate")
+        ),
+    ),
+    "segment": (
+        2,
+        lambda a, b: Segment(
+            _need(a, Point, "segment start"), _need(b, Point, "segment end")
+        ),
+    ),
+    "square": (
+        2,
+        lambda c, h: Square(
+            _need(c, Point, "square center"), _need_number(h, "half side")
+        ),
+    ),
+    "circle": (
+        2,
+        lambda c, r: Circle(
+            _need(c, Point, "circle center"), _need_number(r, "radius")
+        ),
+    ),
+    "center": (1, _center),
+    "midpoint": (1, lambda s: _need(s, Segment, "argument").midpoint()),
+    "radius": (1, lambda c: _need(c, Circle, "argument").radius),
+    "xcoord": (1, lambda p: _need(p, Point, "argument").x),
+    "ycoord": (1, lambda p: _need(p, Point, "argument").y),
+    "divide": (
+        2,
+        lambda s, n: divide_segment(
+            _need(s, Segment, "argument"), _need_index(n, "part count")
+        ),
+    ),
+    "circumcircle": (1, lambda s: circumscribed_circle(_need(s, Square, "argument"))),
+    "trisectors_vertical": (
+        1,
+        lambda s: list(trisector_lines(_need(s, Square, "argument"), "vertical")),
+    ),
+    "trisectors_horizontal": (
+        1,
+        lambda s: list(trisector_lines(_need(s, Square, "argument"), "horizontal")),
+    ),
+    "intersect_vertical": (
+        2,
+        lambda x, c: vertical_line_circle_intersection(
+            _need_number(x, "line abscissa"), _need(c, Circle, "circle")
+        ),
+    ),
+    "intersect_horizontal": (
+        2,
+        lambda y, c: _horizontal_intersections(
+            _need_number(y, "line ordinate"), _need(c, Circle, "circle")
+        ),
+    ),
+    "distance2": (
+        2,
+        lambda p, q: distance_squared(
+            _need(p, Point, "first point"), _need(q, Point, "second point")
+        ),
+    ),
+    "area": (1, _area),
+    "circumference": (
+        1,
+        lambda c: circle_circumference_true(_need(c, Circle, "argument")),
+    ),
+    "nth": (2, _nth),
+    "count": (1, _count),
+    "claimed": (1, lambda o: _need(o, catalog.RuleOutput, "argument").claimed),
+    "actual": (1, lambda o: _need(o, catalog.RuleOutput, "argument").actual),
+    "witness": (2, _witness),
+    "hypotenuse": (
+        2,
+        lambda a, b: catalog.hypotenuse(
+            _need_number(a, "length"), _need_number(b, "width")
+        ),
+    ),
+    "sqrt2_sulba": (0, catalog.sqrt2_sulba_constant),
+}
+# every catalog rule id and alias that is not a builtin takes one argument
+_VOCABULARY.update(
+    (name, (1, partial(_call_rule, catalog.lookup(name))))
+    for name in (*catalog.rule_ids(), *catalog._ALIASES)
+    if name not in _VOCABULARY
+)
 
 
 class _Evaluator:
@@ -794,7 +768,7 @@ class _Evaluator:
             return self.environment[expr.ident]
         args = [self.eval_expr(a) for a in expr.args]
         try:
-            return _builtin(expr.name, args)
+            return _VOCABULARY[expr.name][1](*args)
         except _EvalError as exc:
             raise _EvalAbort(
                 Diagnostic("error", exc.message, expr.line, expr.column)

@@ -7,8 +7,11 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
+import pytest
+
 from sulvalab.catalog import CATALOG
 from sulvalab.cli import main
+from sulvalab.exactreal import set_tower_cap, tower_cap
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -129,6 +132,15 @@ def test_run_svg_deterministic(tmp_path):
     assert first.read_bytes().startswith(b"<?xml")
 
 
+@pytest.mark.parametrize(
+    "command", [["run", str(DEMOS / "gupta_circle.sulva")], ["render", "manava_gupta"]]
+)
+def test_precision_bits_is_an_analyze_flag_only(command):
+    result = invoke(*command, "--precision-bits", "64")
+    assert result.exit_code == 2
+    assert "No such option" in result.stderr
+
+
 def test_run_svg_without_figures_exits_2(tmp_path):
     script = tmp_path / "plain.sulva"
     script.write_text("let x = 1; emit x;\n")
@@ -185,3 +197,22 @@ def test_tower_cap_flag_reaches_the_kernel(tmp_path):
     assert "cap" in limited.stderr
     relaxed = invoke("run", str(script), "--tower-cap", "6")
     assert relaxed.exit_code == 0
+
+
+@pytest.mark.parametrize(
+    "args, exit_code",
+    [
+        (["analyze", "gupta"], 0),
+        (["analyze", "archimedes"], 2),
+        (["run", str(DEMOS / "gupta_circle.sulva")], 0),
+        (["render", "manava_gupta"], 0),
+    ],
+)
+def test_tower_cap_flag_does_not_outlive_the_command(args, exit_code):
+    before = tower_cap()
+    try:
+        result = invoke(*args, "--tower-cap", "1")
+        assert result.exit_code == exit_code, result.stderr
+        assert tower_cap() == before
+    finally:
+        set_tower_cap(before)

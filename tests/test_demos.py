@@ -1,34 +1,15 @@
 """The narrative demo scripts run clean end to end."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import sulvalab
+from child_env import child_env
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 TOURS = sorted(DEMOS.glob("tour_*.py"))
-
-# The directory that holds the sulvalab this process imported: ``src`` in a
-# checkout, ``site-packages`` for an installed copy.
-PACKAGE_ROOT = Path(sulvalab.__file__).resolve().parent.parent
-
-
-def _child_env():
-    """The environment with PACKAGE_ROOT first on an absolute PYTHONPATH.
-
-    The tours run from a temporary directory, where a relative entry such as
-    ``PYTHONPATH=src`` would point at nothing.
-    """
-    env = os.environ.copy()
-    paths = [str(PACKAGE_ROOT)]
-    if env.get("PYTHONPATH"):
-        paths.append(env["PYTHONPATH"])
-    env["PYTHONPATH"] = os.pathsep.join(paths)
-    return env
 
 
 @pytest.mark.parametrize("script", TOURS, ids=lambda p: p.stem)
@@ -40,7 +21,7 @@ def test_tour_runs_clean(script, tmp_path):
     proc = subprocess.run(
         args,
         cwd=tmp_path,
-        env=_child_env(),
+        env=child_env(),
         capture_output=True,
         text=True,
         timeout=120,

@@ -17,6 +17,7 @@ from sulvalab.exactreal import (
     UnsupportedQuantityError,
     constructible,
     enclose,
+    enclose_percent,
     from_rational,
     normalize,
     pi_enclosure,
@@ -188,7 +189,58 @@ def test_sign_resolves_below_refinement_bound():
         er.set_sign_refinement_bits(old)
 
 
+def test_sign_runs_the_norm_test_once(monkeypatch):
+    norm_is_zero = er._norm_is_zero
+    decided = []
+
+    def recording(x):
+        if not x.is_rational():  # skip the recursion on the rational norm
+            decided.append(x)
+        return norm_is_zero(x)
+
+    monkeypatch.setattr(er, "_norm_is_zero", recording)
+    old = er.sign_refinement_bits()
+    er.set_sign_refinement_bits(8)
+    try:
+        # about 1.6e-12: still straddles zero at 32 bits, decided at 64
+        tiny = sqrt(2) - from_rational(665857, 470832)
+        assert tiny.sign() == -1
+        assert decided == [tiny]
+        # a non-canonical zero never leaves zero; only the norm test decides
+        zero = er._raw_node(sqrt(2).tower, er._ZERO, er._ZERO)
+        assert zero.sign() == 0
+        assert decided == [tiny, zero]
+    finally:
+        er.set_sign_refinement_bits(old)
+
+
+def _pi_truncation_midpoint() -> Fraction:
+    # the shipped pi enclosure never shrinks below [m, m + 1] * 2**-1536
+    return Fraction(2 * er._PI_MAN + 1, 2**1537)
+
+
+def test_quantity_sign_stops_past_shipped_pi():
+    near_zero = Quantity(-_pi_truncation_midpoint(), 1)
+    with pytest.raises(CapacityError, match="cannot separate quantity from zero"):
+        near_zero.sign()
+
+
+def test_to_decimal_stops_on_an_unresolvable_tie():
+    near_half = Quantity(Fraction(1, 2) - _pi_truncation_midpoint(), 1)
+    with pytest.raises(CapacityError, match="did not converge"):
+        to_decimal(near_half, 0)
+
+
 # -- enclose ------------------------------------------------------------------
+
+
+def test_enclose_percent():
+    third = enclose_percent(Quantity(1), Quantity(3), 64)
+    assert third.precision_bits == 64 and third.contains(Fraction(100, 3))
+    surplus = enclose_percent(er.PI - 3, er.PI, 64)
+    assert surplus.contains(oracle(lambda: 100 * (1 - 3 / mpmath.pi)))
+    with pytest.raises(DomainError):
+        enclose_percent(Quantity(1), Quantity(3), 3)
 
 
 def test_enclose_third():

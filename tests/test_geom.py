@@ -17,6 +17,7 @@ from sulvalab.geom import (
     distance_squared,
     divide_segment,
     point,
+    similar,
     square_area,
     trisector_lines,
     vertical_line_circle_intersection,
@@ -218,3 +219,30 @@ def test_scaling_covariance():
         assert (radius - base_radius * k).sign() == 0
         area = square_area(scaled).constant_part()
         assert (area - base_area * k * k).sign() == 0
+
+
+def test_similar_maps_every_figure_kind():
+    k, offset = sqrt(2), point(3, from_rational(-1, 2))
+    a, b = point(1, 2), point(-1, sqrt(3))
+
+    def image(p):
+        return Point(p.x * k + offset.x, p.y * k + offset.y)
+
+    assert similar(a, k, offset) == image(a)
+    segment = similar(Segment(a, b), k, offset)
+    assert segment.a == image(a) and segment.b == image(b)
+    square = similar(Square(a, from_rational(1, 2)), k, offset)
+    assert square.center == image(a) and square.half_side == k / 2
+    circle = similar(Circle(b, sqrt(5)), k, offset)
+    assert circle.center == image(b) and circle.radius == sqrt(10)
+
+
+def test_similar_leaves_identity_parts_alone():
+    one, origin = from_rational(1), point(0, 0)
+    half_side = sqrt(2)
+    translated = similar(Square(point(1, 1), half_side), one, point(2, 3))
+    assert translated.half_side is half_side
+    assert translated.center == point(3, 4)
+    corner = point(sqrt(3), 1)
+    fixed = similar(corner, one, origin)
+    assert fixed.x is corner.x and fixed.y is corner.y

@@ -1,0 +1,92 @@
+"""Byte-for-byte golden outputs: CLI artifacts, demo reports and figures,
+and repeated ``analysis.full_table`` calls in one process.
+
+Each artifact is produced in a fresh interpreter, because enclosure memos
+carry over between calls in one process and can change later bytes.  To
+rewrite the files after an intended output change, run
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from child_env import child_env
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+CLI_ARTIFACTS = {
+    "analyze_all.json": ["analyze", "all", "--format", "json"],
+    "analyze_all.txt": ["analyze", "all"],
+    "catalog.txt": ["catalog"],
+    "render_manava_dani.svg": ["render", "manava_dani"],
+}
+
+# writes <stem>.report.txt and, when figures were emitted, <stem>.svg
+_DEMO_CODE = """
+import sys
+from pathlib import Path
+from sulvalab import sulvascript, svg_render
+path, out = Path(sys.argv[1]), Path(sys.argv[2])
+script = sulvascript.parse(path.read_text(encoding="utf-8")).script
+result = sulvascript.evaluate(script)
+report = sulvascript.render_report(result)
+(out / f"{path.stem}.report.txt").write_bytes(report.encode())
+figures = sulvascript.extract_figures(result)
+if figures:
+    (out / f"{path.stem}.svg").write_bytes(svg_render.to_svg(figures).encode())
+"""
+
+# one process, each precision twice and 128 bits again after 1024: the
+# enclosure memos make later tables depend on the earlier ones
+_TABLE_CODE = """
+import sys
+from pathlib import Path
+from sulvalab import analysis
+out = Path(sys.argv[1])
+for call, bits in enumerate((64, 64, 128, 128, 1024, 1024, 128), 1):
+    text = analysis.reports_to_json(analysis.full_table(bits))
+    (out / f"full_table_{call}_b{bits}.json").write_bytes(text.encode())
+"""
+
+
+def _run(args: list) -> bytes:
+    proc = subprocess.run(
+        [sys.executable, *args], env=child_env(), capture_output=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+def capture(out: Path) -> None:
+    """Write every golden artifact of the current code into ``out``."""
+    for name, args in CLI_ARTIFACTS.items():
+        (out / name).write_bytes(_run(["-m", "sulvalab.cli", *args]))
+    for script in sorted(DEMOS.glob("*.sulva")):
+        _run(["-c", _DEMO_CODE, str(script), str(out)])
+    _run(["-c", _TABLE_CODE, str(out)])
+
+
+@pytest.fixture(scope="module")
+def captured(tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("golden")
+    capture(out)
+    return out
+
+
+def test_same_artifacts(captured):
+    assert sorted(p.name for p in captured.iterdir()) == sorted(
+        p.name for p in GOLDEN.iterdir()
+    )
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.iterdir()))
+def test_artifact_unchanged(name, captured):
+    assert (captured / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    capture(GOLDEN)
