@@ -190,7 +190,8 @@ def analyze_command(
 def run_command(script: str, svg_path: str | None, digits: int) -> None:
     """Parse and evaluate a .sulva construction script."""
     try:
-        source = open(script, encoding="utf-8").read()
+        with open(script, encoding="utf-8") as handle:
+            source = handle.read()
     except OSError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)

@@ -199,25 +199,26 @@ def _fraction_ceil(value: Fraction, bits: int) -> Dyadic:
     return Dyadic.of(q, grid)
 
 
-def _dyadic_floor_bits(x: Dyadic, bits: int) -> Dyadic:
-    if x.man == 0 or abs(x.man).bit_length() <= bits:
-        return x
-    shift = abs(x.man).bit_length() - bits
-    return Dyadic.of(x.man >> shift, x.exp + shift)
+def _round_floor(man: int, exp: int, bits: int) -> Dyadic:
+    """Largest dyadic with at most ``bits`` significant bits <= man * 2**exp."""
+    shift = man.bit_length() - bits
+    if shift <= 0:
+        return Dyadic.of(man, exp)
+    return Dyadic.of(man >> shift, exp + shift)
 
 
-def _dyadic_ceil_bits(x: Dyadic, bits: int) -> Dyadic:
-    if x.man == 0 or abs(x.man).bit_length() <= bits:
-        return x
-    shift = abs(x.man).bit_length() - bits
-    return Dyadic.of(-((-x.man) >> shift), x.exp + shift)
+def _round_ceil(man: int, exp: int, bits: int) -> Dyadic:
+    shift = man.bit_length() - bits
+    if shift <= 0:
+        return Dyadic.of(man, exp)
+    return Dyadic.of(-((-man) >> shift), exp + shift)
 
 
 def _sqrt_floor(x: Dyadic, bits: int) -> Dyadic:
     """Dyadic lower bound for sqrt(x), x >= 0."""
     if x.man == 0:
         return _DY_ZERO
-    r = _dyadic_floor_bits(x, 2 * bits + 4)
+    r = _round_floor(x.man, x.exp, 2 * bits + 4)
     grid = (r.man.bit_length() + r.exp + 1) // 2 - bits - 2
     grid = min(grid, r.exp // 2)
     return Dyadic.of(isqrt(r.man << (r.exp - 2 * grid)), grid)
@@ -226,7 +227,7 @@ def _sqrt_floor(x: Dyadic, bits: int) -> Dyadic:
 def _sqrt_ceil(x: Dyadic, bits: int) -> Dyadic:
     if x.man == 0:
         return _DY_ZERO
-    r = _dyadic_ceil_bits(x, 2 * bits + 4)
+    r = _round_ceil(x.man, x.exp, 2 * bits + 4)
     grid = (r.man.bit_length() + r.exp + 1) // 2 - bits - 2
     grid = min(grid, r.exp // 2)
     scaled = r.man << (r.exp - 2 * grid)
@@ -236,7 +237,11 @@ def _sqrt_ceil(x: Dyadic, bits: int) -> Dyadic:
     return Dyadic.of(s, grid)
 
 
-# raw enclosures are (lo, hi) pairs of Dyadic, rounded outward at each step
+# raw enclosures are (lo, hi) pairs of Dyadic, rounded outward at each step.
+# The add, multiply and width kernels work on integer mantissas only: they
+# align exponents by shifting and keep bits + 1 significant bits, which is
+# the grid _fraction_floor and _fraction_ceil pick for the same value, so
+# they return the same dyadics without a gcd.
 
 _Raw = tuple[Dyadic, Dyadic]
 
@@ -245,17 +250,23 @@ def _riv_from_fraction(f: Fraction, bits: int) -> _Raw:
     return _fraction_floor(f, bits), _fraction_ceil(f, bits)
 
 
+def _dy_sum(x: Dyadic, y: Dyadic) -> tuple[int, int]:
+    """``x + y`` as an unnormalized (mantissa, exponent) pair."""
+    if x.exp >= y.exp:
+        return (x.man << (x.exp - y.exp)) + y.man, y.exp
+    return x.man + (y.man << (y.exp - x.exp)), x.exp
+
+
 def _riv_add(a: _Raw, b: _Raw, bits: int) -> _Raw:
-    lo = a[0].as_fraction() + b[0].as_fraction()
-    hi = a[1].as_fraction() + b[1].as_fraction()
-    return _fraction_floor(lo, bits), _fraction_ceil(hi, bits)
+    lo = _round_floor(*_dy_sum(a[0], b[0]), bits + 1)
+    return lo, _round_ceil(*_dy_sum(a[1], b[1]), bits + 1)
 
 
 def _riv_mul(a: _Raw, b: _Raw, bits: int) -> _Raw:
-    a0, a1 = a[0].as_fraction(), a[1].as_fraction()
-    b0, b1 = b[0].as_fraction(), b[1].as_fraction()
-    products = (a0 * b0, a0 * b1, a1 * b0, a1 * b1)
-    return _fraction_floor(min(products), bits), _fraction_ceil(max(products), bits)
+    products = [(x.man * y.man, x.exp + y.exp) for x in a for y in b]
+    exp = min(e for _, e in products)
+    aligned = [m << (e - exp) for m, e in products]
+    return _round_floor(min(aligned), exp, bits + 1), _round_ceil(max(aligned), exp, bits + 1)
 
 
 def _riv_div(a: _Raw, b: _Raw, bits: int) -> _Raw:
@@ -275,9 +286,15 @@ def _riv_sqrt(a: _Raw, bits: int) -> _Raw:
 
 
 def _riv_width_ok(lo: Dyadic, hi: Dyadic, precision_bits: int) -> bool:
-    width = hi.as_fraction() - lo.as_fraction()
-    scale = max(Fraction(1), abs(hi.as_fraction()))
-    return width <= Fraction(2) ** (1 - precision_bits) * scale
+    """``hi - lo <= 2**(1 - precision_bits) * max(1, |hi|)``, in integers."""
+    width, width_exp = _dy_sum(hi, -lo)
+    if hi.man and hi.man.bit_length() + hi.exp > 0:  # |hi| >= 1
+        scale, scale_exp = abs(hi.man), hi.exp + 1 - precision_bits
+    else:
+        scale, scale_exp = 1, 1 - precision_bits
+    if width_exp >= scale_exp:
+        return width << (width_exp - scale_exp) <= scale
+    return width <= scale << (scale_exp - width_exp)
 
 
 _T = TypeVar("_T")
@@ -289,18 +306,21 @@ def _refine(
     decide: Callable[[Dyadic, Dyadic, int], Optional[_T]],
     cap: Optional[int] = None,
     overflow: str = "",
+    stuck: Optional[Callable[[Dyadic, Dyadic, int], bool]] = None,
 ) -> _T:
     """Enclose at ``bits``, doubling it until ``decide(lo, hi, bits)`` answers.
 
-    An undecided round past ``cap`` bits raises :class:`CapacityError` with
-    the message ``overflow`` instead of doubling again.
+    An undecided round past ``cap`` bits, or one for which
+    ``stuck(lo, hi, bits)`` proves that no later round can answer, raises
+    :class:`CapacityError` with the message ``overflow`` instead of
+    doubling again.
     """
     while True:
         lo, hi = encloser(bits)
         answer = decide(lo, hi, bits)
         if answer is not None:
             return answer
-        if cap is not None and bits > cap:
+        if (cap is not None and bits > cap) or (stuck is not None and stuck(lo, hi, bits)):
             raise CapacityError(overflow)
         bits *= 2
 
@@ -390,8 +410,8 @@ PI_PRECISION_CAP = 1520
 
 
 def _riv_pi(bits: int) -> _Raw:
-    lo = _dyadic_floor_bits(Dyadic.of(_PI_MAN, _PI_EXP), bits)
-    hi = _dyadic_ceil_bits(Dyadic.of(_PI_MAN + 1, _PI_EXP), bits)
+    lo = _round_floor(_PI_MAN, _PI_EXP, bits)
+    hi = _round_ceil(_PI_MAN + 1, _PI_EXP, bits)
     return lo, hi
 
 
@@ -428,6 +448,7 @@ class Tower:
 
 
 _ROOT_EXTENSIONS: list[tuple["ConstructibleReal", "Tower"]] = []
+_ROOT_INDEX: dict[Fraction, Tower] = {}  # the same towers, by rational radicand
 
 
 def _extend(parent: Optional[Tower], radicand: "ConstructibleReal") -> Tower:
@@ -438,12 +459,19 @@ def _extend(parent: Optional[Tower], radicand: "ConstructibleReal") -> Tower:
             f"tower height cap {_tower_cap} exceeded; "
             "raise it with set_tower_cap() if intended"
         )
-    registry = _ROOT_EXTENSIONS if parent is None else parent._children
-    for known, tower in registry:
+    if parent is None:
+        # root radicands are rationals: one lookup instead of a scan
+        assert radicand.frac is not None
+        tower = _ROOT_INDEX.get(radicand.frac)
+        if tower is None:
+            tower = _ROOT_INDEX[radicand.frac] = Tower(None, radicand)
+            _ROOT_EXTENSIONS.append((radicand, tower))
+        return tower
+    for known, tower in parent._children:
         if _sub(known, radicand).is_zero():
             return tower
     tower = Tower(parent, radicand)
-    registry.append((radicand, tower))
+    parent._children.append((radicand, tower))
     return tower
 
 
@@ -814,15 +842,24 @@ def _mul(x: ConstructibleReal, y: ConstructibleReal) -> ConstructibleReal:
     if x.tower is None and y.tower is None:
         assert x.frac is not None and y.frac is not None
         return _rational(x.frac * y.frac)
+    if x.is_zero() or y.is_zero():
+        return _ZERO
     x, y = _common(x, y)
     tower = _deeper(x, y)
     assert tower is not None
-    xa, xb = _split(x, tower)
-    ya, yb = _split(y, tower)
-    d = tower.radicand
-    real = _add(_mul(xa, ya), _mul(_mul(xb, yb), d))
-    root = _add(_mul(xa, yb), _mul(xb, ya))
-    return _node(tower, real, root)
+    # an operand below the top level is a scalar there: 2 sub-products
+    if x.tower is not tower:
+        assert y.a is not None and y.b is not None
+        return _node(tower, _mul(x, y.a), _mul(x, y.b))
+    assert x.a is not None and x.b is not None
+    if y.tower is not tower:
+        return _node(tower, _mul(x.a, y), _mul(x.b, y))
+    assert y.a is not None and y.b is not None
+    # Karatsuba, r = sqrt(d): (a + b*r)(c + e*r) = ac + d*be + ((a + b)(c + e) - ac - be)*r
+    ac = _mul(x.a, y.a)
+    be = _mul(x.b, y.b)
+    cross = _mul(_add(x.a, x.b), _add(y.a, y.b))
+    return _node(tower, _add(ac, _mul(be, tower.radicand)), _sub(_sub(cross, ac), be))
 
 
 def _inv(x: ConstructibleReal) -> ConstructibleReal:
@@ -1076,12 +1113,20 @@ class Quantity:
             return self.c0.sign()
         if self.c0.is_zero():
             return self.c1.sign()
+
+        def stuck(lo: Dyadic, hi: Dyadic, bits: int) -> bool:
+            if bits <= PI_PRECISION_CAP:  # more bits still narrow the pi term
+                return False
+            low, high = self._pi_segment_signs(Fraction(0))
+            return low <= 0 <= high
+
         return _refine(
             self._interval_raw,
             32,
             _interval_sign,
             4096,
             "cannot separate quantity from zero within the shipped pi precision",
+            stuck,
         )
 
     __eq__ = _comparison(_coerce_quantity, operator.eq)
@@ -1093,6 +1138,20 @@ class Quantity:
     __hash__ = None  # type: ignore[assignment]
 
     # -- enclosures ------------------------------------------------------------
+
+    def _pi_segment_signs(self, t: Fraction) -> tuple[int, int]:
+        """Signs of ``c0 + c1*p - t`` at the low and the high end of the
+        segment it sweeps as p runs over the shipped pi interval.
+
+        Every enclosure of ``self`` contains that segment, whatever its
+        precision, so a test the segment fails no round can pass.
+        """
+        ends = [
+            self.c0 - t + self.c1 * Fraction(m, 2**-_PI_EXP)
+            for m in (_PI_MAN, _PI_MAN + 1)
+        ]
+        low, high = ends if self.c1.sign() > 0 else ends[::-1]
+        return low.sign(), high.sign()
 
     def _interval_raw(self, bits: int) -> _Raw:
         base = self.c0._interval_raw(bits)
@@ -1197,18 +1256,32 @@ def to_decimal(value: Union[Coercible, Quantity], digits: int) -> str:
         if value.is_constant():
             return to_decimal(value.c0, digits)
         encloser = value._interval_raw
+        pi_part: Optional[Quantity] = value
     else:
         x = constructible(value)
         if x.tower is None:
             return _decimal_exact(x.as_fraction(), digits)
         encloser = x._interval_raw
+        pi_part = None
     # irrational: refine until both endpoints round to the same decimal
     scale = 10**digits
 
-    def decide(lo: Dyadic, hi: Dyadic, bits: int) -> Optional[str]:
-        n_lo = (lo.as_fraction() * scale + Fraction(1, 2)).__floor__()
-        n_hi = (hi.as_fraction() * scale + Fraction(1, 2)).__floor__()
-        return _format_scaled(n_lo, digits) + "…" if n_lo == n_hi else None
+    def nearest(d: Dyadic) -> int:
+        return (d.as_fraction() * scale + Fraction(1, 2)).__floor__()
 
-    return _refine(encloser, 64, decide, 8192, "decimal rendering did not converge")
+    def decide(lo: Dyadic, hi: Dyadic, bits: int) -> Optional[str]:
+        n_lo = nearest(lo)
+        return _format_scaled(n_lo, digits) + "…" if n_lo == nearest(hi) else None
+
+    def stuck(lo: Dyadic, hi: Dyadic, bits: int) -> bool:
+        if pi_part is None or bits <= PI_PRECISION_CAP:
+            return False
+        n_hi = nearest(hi)
+        if n_hi != nearest(lo) + 1:
+            return False
+        # the one rounding boundary inside the enclosure
+        low, high = pi_part._pi_segment_signs(Fraction(2 * n_hi - 1, 2 * scale))
+        return low < 0 <= high  # nearest() rounds the boundary itself up
+
+    return _refine(encloser, 64, decide, 8192, "decimal rendering did not converge", stuck)
 

@@ -219,16 +219,88 @@ def _pi_truncation_midpoint() -> Fraction:
     return Fraction(2 * er._PI_MAN + 1, 2**1537)
 
 
-def test_quantity_sign_stops_past_shipped_pi():
+def _record_pi_bits(monkeypatch) -> list:
+    riv_pi = er._riv_pi
+    requested = []
+
+    def recording(bits):
+        requested.append(bits)
+        return riv_pi(bits)
+
+    monkeypatch.setattr(er, "_riv_pi", recording)
+    return requested
+
+
+def test_quantity_sign_stops_past_shipped_pi(monkeypatch):
     near_zero = Quantity(-_pi_truncation_midpoint(), 1)
+    requested = _record_pi_bits(monkeypatch)
     with pytest.raises(CapacityError, match="cannot separate quantity from zero"):
         near_zero.sign()
+    # the first round past the cap uses all of the shipped pi; no later one
+    assert max(requested) == 2048
 
 
-def test_to_decimal_stops_on_an_unresolvable_tie():
+def test_to_decimal_stops_on_an_unresolvable_tie(monkeypatch):
     near_half = Quantity(Fraction(1, 2) - _pi_truncation_midpoint(), 1)
+    requested = _record_pi_bits(monkeypatch)
     with pytest.raises(CapacityError, match="did not converge"):
         to_decimal(near_half, 0)
+    assert max(requested) == 2048
+
+
+def test_quantity_sign_refines_past_the_cap_when_pi_is_not_the_limit(monkeypatch):
+    # pi minus its truncation is below 2**-1536; the offset 2**-3000 keeps the
+    # value off zero over the whole shipped pi interval, so more bits decide it
+    offset = Fraction(1, 2**3000)
+    truncation = Fraction(er._PI_MAN, 2**1536)
+    requested = _record_pi_bits(monkeypatch)
+    assert Quantity(offset - truncation, 1).sign() == 1
+    assert Quantity(truncation - offset, -1).sign() == -1
+    assert max(requested) == 4096
+
+
+@pytest.mark.parametrize(
+    "c0, digits", [(2**2100, 0), (10**400, 250)], ids=["2**2100", "10**400"]
+)
+def test_to_decimal_refines_past_the_cap_when_rounding_is_the_limit(c0, digits):
+    # at 2048 bits, rounding to 2049 significant bits of |c0| leaves the
+    # enclosure wider than a decimal unit; the pi term is far narrower
+    expected = str(c0 + 3) + to_decimal(er.PI, digits)[1:]
+    assert to_decimal(Quantity(c0, 1), digits) == expected
+
+
+def _nested_radical(height: int):
+    """sqrt(k + ... sqrt(4 + sqrt(3 + sqrt(2)))) with ``height`` levels."""
+    x = sqrt(2)
+    for k in range(3, height + 2):
+        x = sqrt(x + k)
+    return x
+
+
+# recursive _mul calls of (x+1)/(x-1); the 5-product schoolbook form made
+# 18,106 at height 6 and 291,101 at height 8
+@pytest.mark.parametrize("height, budget", [(6, 635), (8, 2557)])
+def test_nested_division_mul_count(monkeypatch, height, budget):
+    old = er.tower_cap()
+    er.set_tower_cap(max(old, height))
+    try:
+        x = _nested_radical(height)
+        assert x.tower.height == height
+        mul = er._mul
+        calls = 0
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(er, "_mul", counting)
+        y = (x + 1) / (x - 1)
+        monkeypatch.undo()
+        assert calls <= budget
+        assert y * (x - 1) == x + 1
+    finally:
+        er.set_tower_cap(old)
 
 
 # -- enclose ------------------------------------------------------------------
