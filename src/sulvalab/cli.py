@@ -2,8 +2,9 @@
 
 Exit codes: 0 when everything succeeded and all assertions hold, 1 for
 assertion failures or analysis tolerance failures, 2 for usage and I/O
-errors (unknown rule ids, unreadable files, bad flag values).  Standard
-output carries only the requested artifact; diagnostics go to stderr.
+errors (unknown rule ids, unreadable files, bad flag values, scripts
+nested past ``sulvascript.MAX_NESTING``).  Standard output carries only
+the requested artifact; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ def run_command(script: str, svg_path: str | None, digits: int) -> None:
     for diagnostic in parsed.diagnostics:
         click.echo(f"{script}:{diagnostic}", err=True)
     if not parsed.ok:
-        sys.exit(1)
+        sys.exit(2 if any(d.limit for d in parsed.diagnostics) else 1)
     result = sulvascript.evaluate(parsed.script)
     for diagnostic in result.diagnostics:
         click.echo(f"{script}:{diagnostic}", err=True)

@@ -50,10 +50,8 @@ __all__ = [
     "from_rational",
     "normalize",
     "pi_enclosure",
-    "set_sign_refinement_bits",
     "set_tower_cap",
     "sign",
-    "sign_refinement_bits",
     "sqrt",
     "structurally_equal",
     "to_decimal",
@@ -80,10 +78,10 @@ class UnsupportedQuantityError(TypeError):
 # configuration
 
 _DEFAULT_TOWER_CAP = 6
+# bench/ reads this; ROADMAP item 3 (the benchmark reading in-package counters) deletes it
 _DEFAULT_SIGN_BITS = 256
 
 _tower_cap = _DEFAULT_TOWER_CAP
-_sign_bits = _DEFAULT_SIGN_BITS
 
 
 def set_tower_cap(height: int) -> None:
@@ -98,16 +96,9 @@ def tower_cap() -> int:
     return _tower_cap
 
 
-def set_sign_refinement_bits(bits: int) -> None:
-    """Set the refinement depth after which sign() runs the exact zero test."""
-    if bits < 8:
-        raise DomainError("sign refinement bound must be at least 8 bits")
-    global _sign_bits
-    _sign_bits = bits
-
-
+# bench/ reads this; ROADMAP item 3 (the benchmark reading in-package counters) deletes it
 def sign_refinement_bits() -> int:
-    return _sign_bits
+    return _DEFAULT_SIGN_BITS
 
 
 # --------------------------------------------------------------------------
@@ -326,11 +317,16 @@ def _refine(
 
 
 def _interval_sign(lo: Dyadic, hi: Dyadic, bits: int) -> Optional[int]:
-    """The sign an enclosure proves, or None while it straddles zero."""
+    """The sign an enclosure proves, or None while it straddles zero.
+
+    A certified enclosure that is exactly ``[0, 0]`` proves zero.
+    """
     if lo.man > 0:
         return 1
     if hi.man < 0:
         return -1
+    if lo.man == 0 and hi.man == 0:
+        return 0
     return None
 
 
@@ -612,23 +608,18 @@ class ConstructibleReal:
     # -- exact comparisons -------------------------------------------------
 
     def sign(self) -> int:
-        """Exact trichotomy (-1, 0, +1); terminates for every value."""
+        """Exact trichotomy (-1, 0, +1); terminates for every value.
+
+        Every tower level is a genuine quadratic extension, so a value is
+        zero only when all of its rational leaves are; its enclosure is then
+        exactly ``[0, 0]`` from the first round on.  A nonzero value has
+        enclosures that shrink to a nonzero real, so refinement ends.
+        """
         if self.tower is None:
             f = self.frac
             assert f is not None
             return (f > 0) - (f < 0)
-        # canonical nonzero elements cannot be numerically zero, but the
-        # conjugate-norm decision runs once, in the first round (rounds are
-        # at 32 * 2**k bits) that reaches _sign_bits, before refining on
-        norm_round = max(32, 1 << (_sign_bits - 1).bit_length())
-
-        def decide(lo: Dyadic, hi: Dyadic, bits: int) -> Optional[int]:
-            s = _interval_sign(lo, hi, bits)
-            if s is None and bits == norm_round and _norm_is_zero(self):
-                return 0
-            return s
-
-        return _refine(self._interval_raw, 32, decide)
+        return _refine(self._interval_raw, 32, _interval_sign)
 
     __eq__ = _comparison(_coerce, operator.eq)
     __lt__ = _comparison(_coerce, operator.lt)
@@ -877,8 +868,12 @@ def _inv(x: ConstructibleReal) -> ConstructibleReal:
     return _node(x.tower, _mul(x.a, inv_norm), _neg(_mul(x.b, inv_norm)))
 
 
+# bench/ reads this; ROADMAP item 3 (the benchmark reading in-package counters) deletes it
 def _norm_is_zero(x: ConstructibleReal) -> bool:
-    """Exact zero decision by recursive conjugate norms."""
+    """Exact zero decision by recursive conjugate norms.
+
+    No library code calls it; the tests use it as an independent zero oracle.
+    """
     if x.tower is None:
         return x.frac == 0
     assert x.a is not None and x.b is not None

@@ -10,7 +10,8 @@ every run is total and every failure points at a source position::
     assert claimed(out) < actual(out);
     emit out;
 
-Grammar (LL(1), parsed by recursive descent)::
+Grammar (LL(1); statements by recursive descent, expressions with an
+explicit stack)::
 
     program  := stmt*
     stmt     := "let" IDENT "=" expr ";"
@@ -24,7 +25,8 @@ Comments run from ``#`` to end of line.  All numeric literals are exact
 rationals; a decimal literal denotes its exact finite value, never a
 float.  Catalog rules are callable by id (a figure argument recenters the
 construction on that figure), so scripts double as executable notes on
-each rule.
+each rule.  An expression nests at most ``MAX_NESTING`` levels of ``-``
+and calls; deeper input gets a positioned diagnostic marked ``limit``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, TypeVar, Union
 
 from . import catalog
 from .exactreal import (
@@ -63,6 +65,7 @@ from .geom import (
 )
 
 __all__ = [
+    "MAX_NESTING",
     "Diagnostic",
     "EvalResult",
     "ParseResult",
@@ -86,12 +89,17 @@ Value = Union[
 ]
 
 
+# levels of unary minus and call nesting one expression may have
+MAX_NESTING = 1000
+
+
 @dataclass(frozen=True)
 class Diagnostic:
     severity: str  # "error" or "warning"
     message: str
     line: int
     column: int
+    limit: bool = False  # the input exceeds MAX_NESTING, not the language
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}: {self.severity}: {self.message}"
@@ -123,6 +131,43 @@ class Call:
 
 
 Expr = Union[Literal, Name, Call]
+
+_R = TypeVar("_R")
+
+
+class _NestingError(ValueError):
+    def __init__(self, at: Union["_Token", Call]):
+        super().__init__(f"expression nested more than {MAX_NESTING} levels deep")
+        self.diagnostic = Diagnostic("error", str(self), at.line, at.column, limit=True)
+
+
+def _fold(
+    expr: Expr,
+    leaf: Callable[[Union[Literal, Name]], _R],
+    call: Callable[[Call, list], _R],
+) -> _R:
+    """Bottom-up fold of an expression, arguments left to right.
+
+    The walk keeps its own stack, so depth never meets Python's recursion
+    limit; a call nested past ``MAX_NESTING`` raises :class:`_NestingError`.
+    """
+    done: list = []
+    todo: list[tuple[Expr, int]] = [(expr, 1)]  # depth -1: arguments done
+    while todo:
+        node, depth = todo.pop()
+        if not isinstance(node, Call):
+            done.append(leaf(node))
+        elif depth < 0:
+            split = len(done) - len(node.args)
+            args = done[split:]
+            del done[split:]
+            done.append(call(node, args))
+        elif depth > MAX_NESTING:
+            raise _NestingError(node)
+        else:
+            todo.append((node, -1))
+            todo.extend([(arg, depth + 1) for arg in reversed(node.args)])
+    return done[0]
 
 
 @dataclass
@@ -379,25 +424,58 @@ class _Parser:
         return Emit(names, keyword.line, keyword.column)
 
     def parse_expr(self) -> Expr:
-        token = self.current
-        if token.kind == "symbol" and token.text == "-":
-            self.advance()
-            inner = self.parse_expr()
-            if isinstance(inner, Literal):
-                return Literal(-inner.value, token.line, token.column)
-            return Call("neg", [inner], token.line, token.column)
-        if token.kind == "number":
-            return self.parse_literal()
-        if token.kind == "ident":
-            self.advance()
-            if self.current.kind == "symbol" and self.current.text == "(":
-                return self.parse_call(token)
-            name = Name(token.text, token.line, token.column)
-            if token.text not in self.defined:
-                self.error(f"unresolved reference {token.text!r}", token)
-            return name
-        self.error("expected an expression", token)
-        raise _SyntaxAbort
+        # pending '-' tokens (args None) and calls with arguments still
+        # open, innermost last; an explicit stack, so deep nesting never
+        # meets the recursion limit
+        pending: list[tuple[_Token, Optional[list[Expr]]]] = []
+
+        def open_level(token: _Token, args: Optional[list[Expr]]) -> None:
+            if len(pending) == MAX_NESTING:
+                self.diagnostics.append(_NestingError(token).diagnostic)
+                raise _SyntaxAbort
+            pending.append((token, args))
+
+        while True:
+            token = self.current
+            if token.kind == "symbol" and token.text == "-":
+                self.advance()
+                open_level(token, None)
+                continue
+            if token.kind == "number":
+                expr: Expr = self.parse_literal()
+            elif token.kind == "ident":
+                self.advance()
+                if self.match_symbol("("):
+                    if not self.match_symbol(")"):
+                        open_level(token, [])
+                        continue  # parse the first argument
+                    expr = self.close_call(token, [])
+                else:
+                    expr = Name(token.text, token.line, token.column)
+                    if token.text not in self.defined:
+                        self.error(f"unresolved reference {token.text!r}", token)
+            else:
+                self.error("expected an expression", token)
+                raise _SyntaxAbort
+            # hand the finished operand to the pending operators
+            while pending:
+                opener, args = pending[-1]
+                if args is None:
+                    pending.pop()
+                    if isinstance(expr, Literal):
+                        expr = Literal(-expr.value, opener.line, opener.column)
+                    else:
+                        expr = Call("neg", [expr], opener.line, opener.column)
+                    continue
+                args.append(expr)
+                if self.match_symbol(","):
+                    break  # parse the next argument
+                if self.expect_symbol(")") is None:
+                    raise _SyntaxAbort
+                pending.pop()
+                expr = self.close_call(opener, args)
+            else:
+                return expr
 
     def parse_literal(self) -> Literal:
         token = self.advance()
@@ -424,17 +502,8 @@ class _Parser:
             value = value / denom
         return Literal(value, token.line, token.column)
 
-    def parse_call(self, name_token: _Token) -> Call:
-        self.expect_symbol("(")
-        args: list[Expr] = []
-        if not (self.current.kind == "symbol" and self.current.text == ")"):
-            while True:
-                args.append(self.parse_expr())
-                if self.match_symbol(","):
-                    continue
-                break
-        if self.expect_symbol(")") is None:
-            raise _SyntaxAbort
+    def close_call(self, name_token: _Token, args: list[Expr]) -> Call:
+        """Check a call whose ``)`` was just read against the vocabulary."""
         name = name_token.text
         arity, _ = _VOCABULARY.get(name, (None, None))
         if arity is None:
@@ -467,16 +536,20 @@ def parse(source: str) -> ParseResult:
 # -- canonical formatting ----------------------------------------------------------
 
 
+def _format_leaf(expr: Union[Literal, Name]) -> str:
+    return str(expr.value) if isinstance(expr, Literal) else expr.ident
+
+
 def _format_expr(expr: Expr) -> str:
-    if isinstance(expr, Literal):
-        return str(expr.value)
-    if isinstance(expr, Name):
-        return expr.ident
-    return f"{expr.name}({', '.join(_format_expr(a) for a in expr.args)})"
+    return _fold(expr, _format_leaf, lambda c, args: f"{c.name}({', '.join(args)})")
 
 
 def format_script(script: Script) -> str:
-    """Deterministic canonical rendering; reparsing gives an equal tree."""
+    """Deterministic canonical rendering; reparsing gives an equal tree.
+
+    Raises ``ValueError`` for an expression nested past ``MAX_NESTING``,
+    which the parser would reject.
+    """
     lines = []
     for stmt in script.statements:
         if isinstance(stmt, Let):
@@ -762,11 +835,17 @@ class _Evaluator:
         self.diagnostics: list[Diagnostic] = []
 
     def eval_expr(self, expr: Expr) -> Value:
+        try:
+            return _fold(expr, self.eval_leaf, self.eval_call)
+        except _NestingError as exc:  # a hand-built script the parser would reject
+            raise _EvalAbort(exc.diagnostic) from None
+
+    def eval_leaf(self, expr: Union[Literal, Name]) -> Value:
         if isinstance(expr, Literal):
             return constructible(expr.value)
-        if isinstance(expr, Name):
-            return self.environment[expr.ident]
-        args = [self.eval_expr(a) for a in expr.args]
+        return self.environment[expr.ident]
+
+    def eval_call(self, expr: Call, args: list) -> Value:
         try:
             return _VOCABULARY[expr.name][1](*args)
         except _EvalError as exc:

@@ -120,6 +120,21 @@ def test_run_parse_error_exits_1(tmp_path):
     assert "unknown name" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "expr, column",
+    [("-" * 5000 + "1", 1009), ("neg(" * 2000 + "1" + ")" * 2000, 4009)],
+    ids=["5000-minus", "2000-neg"],
+)
+def test_run_too_deeply_nested_script_exits_2(tmp_path, expr, column):
+    script = tmp_path / "deep.sulva"
+    script.write_text(f"let x = {expr};\nemit x;\n")
+    result = invoke("run", str(script))
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert f"deep.sulva:1:{column}: error: expression nested more than" in result.stderr
+    assert result.stdout == ""
+
+
 def test_run_svg_deterministic(tmp_path):
     first = tmp_path / "a.svg"
     second = tmp_path / "b.svg"

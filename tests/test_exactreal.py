@@ -180,38 +180,41 @@ def test_sign_tiny_difference():
     assert_contains_oracle(delta, lambda: mpmath.mpf(17) / 12 - mpmath.sqrt(2))
 
 
-def test_sign_resolves_below_refinement_bound():
-    old = er.sign_refinement_bits()
-    er.set_sign_refinement_bits(8)
-    try:
-        assert (sqrt(2) - from_rational(577, 408)).sign() == -1
-    finally:
-        er.set_sign_refinement_bits(old)
+def _record_enclosure_rounds(monkeypatch) -> list:
+    """Record ``(value, bits)`` for every ``_interval_raw`` call."""
+    interval_raw = er.ConstructibleReal._interval_raw
+    calls = []
+
+    def recording(self, bits):
+        calls.append((self, bits))
+        return interval_raw(self, bits)
+
+    monkeypatch.setattr(er.ConstructibleReal, "_interval_raw", recording)
+    return calls
 
 
-def test_sign_runs_the_norm_test_once(monkeypatch):
-    norm_is_zero = er._norm_is_zero
-    decided = []
+def test_sign_refines_a_tiny_difference(monkeypatch):
+    # about -1.6e-12: still straddles zero at 32 bits, decided at 64
+    tiny = sqrt(2) - from_rational(665857, 470832)
+    calls = _record_enclosure_rounds(monkeypatch)
+    assert tiny.sign() == -1
+    assert [bits for value, bits in calls if value is tiny] == [32, 64]
+    assert oracle(lambda: mpmath.sqrt(2) - mpmath.mpf(665857) / 470832) < 0
 
-    def recording(x):
-        if not x.is_rational():  # skip the recursion on the rational norm
-            decided.append(x)
-        return norm_is_zero(x)
 
-    monkeypatch.setattr(er, "_norm_is_zero", recording)
-    old = er.sign_refinement_bits()
-    er.set_sign_refinement_bits(8)
-    try:
-        # about 1.6e-12: still straddles zero at 32 bits, decided at 64
-        tiny = sqrt(2) - from_rational(665857, 470832)
-        assert tiny.sign() == -1
-        assert decided == [tiny]
-        # a non-canonical zero never leaves zero; only the norm test decides
-        zero = er._raw_node(sqrt(2).tower, er._ZERO, er._ZERO)
+def test_sign_decides_a_noncanonical_zero_in_the_first_round(monkeypatch):
+    # hand-built zeros escape canonical form, but all their leaves are 0,
+    # so the very first enclosure is exactly [0, 0]
+    outer = sqrt(1 + sqrt(2)).tower
+    inner = outer.parent
+    assert inner is sqrt(2).tower
+    flat = er._raw_node(inner, er._ZERO, er._ZERO)
+    nested = er._raw_node(outer, flat, er._raw_node(inner, er._ZERO, er._ZERO))
+    calls = _record_enclosure_rounds(monkeypatch)
+    for zero in (flat, nested):
         assert zero.sign() == 0
-        assert decided == [tiny, zero]
-    finally:
-        er.set_sign_refinement_bits(old)
+        assert [bits for value, bits in calls if value is zero] == [32]
+        assert er._norm_is_zero(zero)
 
 
 def _pi_truncation_midpoint() -> Fraction:

@@ -6,7 +6,11 @@ from pathlib import Path
 import pytest
 
 from sulvalab.sulvascript import (
+    MAX_NESTING,
+    Call,
+    Let,
     Literal,
+    Script,
     evaluate,
     extract_figures,
     format_script,
@@ -274,3 +278,66 @@ def test_render_report_shape():
     report = render_report(result, digits=6)
     assert report.splitlines()[0] == "x = 1.414214… (= sqrt(2))"
     assert "circle(center=point(0, 0), radius=1.414214…)" in report
+
+
+# -- nesting depth ------------------------------------------------------------
+
+
+def _minus_signs(count: int, operand: str = "1") -> str:
+    return "-" * count + operand
+
+
+def _nested_neg(count: int, operand: str = "1") -> str:
+    return "neg(" * count + operand + ")" * count
+
+
+@pytest.mark.parametrize(
+    "expr, column",
+    [
+        (_minus_signs(5000), 9 + MAX_NESTING),
+        (_nested_neg(2000), 9 + 4 * MAX_NESTING),
+        (_minus_signs(MAX_NESTING + 1), 9 + MAX_NESTING),
+        (_nested_neg(MAX_NESTING + 1), 9 + 4 * MAX_NESTING),
+    ],
+    ids=["5000-minus", "2000-neg", "limit+1-minus", "limit+1-neg"],
+)
+def test_deep_nesting_is_a_positioned_diagnostic(expr, column):
+    # the diagnostic points at the first level past the limit, and the
+    # statement after it is still checked
+    result = parse(f"let x = {expr};\nlet y = nope(1);")
+    messages = [(d.line, d.column, d.limit, d.message) for d in result.diagnostics]
+    assert messages == [
+        (1, column, True, f"expression nested more than {MAX_NESTING} levels deep"),
+        (2, 9, False, "unknown name 'nope'"),
+    ]
+    assert not result.ok
+
+
+@pytest.mark.parametrize("depth", [900, MAX_NESTING])
+def test_nesting_up_to_the_limit_parses_evaluates_and_formats(depth):
+    source = (
+        f"let y = 2/3;\n"
+        f"let a = {_minus_signs(depth)};\n"
+        f"let b = {_minus_signs(depth, 'y')};\n"
+        f"let c = {_nested_neg(depth, 'y')};\n"
+        f"let d = {_nested_neg(depth - 1, 'add(y, 1)')};\n"
+        "emit a, b, c, d;\n"
+    )
+    script = parse_ok(source)
+    formatted = format_script(script)  # strings: tree equality would recurse
+    assert format_script(parse_ok(formatted)) == formatted
+    result = evaluate(script)
+    assert result.ok, [str(d) for d in result.diagnostics]
+    sign = (-1) ** depth
+    values = [value.as_fraction() for _, value in result.emitted]
+    assert values == [sign, sign * Fraction(2, 3), sign * Fraction(2, 3), -sign * Fraction(5, 3)]
+
+
+def test_evaluator_rechecks_the_nesting_limit():
+    # a hand-built tree the parser would reject
+    expr = Literal(Fraction(1))
+    for level in range(2000, 0, -1):
+        expr = Call("neg", [expr], 1, level)
+    result = evaluate(Script([Let("x", expr, 1, 1)]))
+    assert [(d.column, d.limit) for d in result.diagnostics] == [(MAX_NESTING + 1, True)]
+    assert result.environment == {}
