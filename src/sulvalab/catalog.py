@@ -61,6 +61,7 @@ __all__ = [
     "inscribed_square",
     "lookup",
     "rule_ids",
+    "similar_output",
     "square_from_circle",
     "sqrt2_sulba_constant",
 ]
@@ -111,20 +112,29 @@ def _positive(value: Coercible, what: str) -> ConstructibleReal:
     return x
 
 
+def similar_output(out: RuleOutput, k: ConstructibleReal, offset: Point) -> RuleOutput:
+    """``out`` with its figures and witness points mapped by :func:`similar`."""
+    if k.is_rational() and k.as_fraction() == 1 and offset.x.is_zero() and offset.y.is_zero():
+        return out
+    witnesses = out.witness_points
+    return RuleOutput(
+        tuple(similar(f, k, offset) for f in out.figures),
+        out.claimed,
+        out.actual,
+        None if witnesses is None else tuple(similar(p, k, offset) for p in witnesses),
+    )
+
+
+_ORIGIN = point(0, 0)
+
+
 def _scaled(unit: RuleOutput, k: ConstructibleReal, power: int) -> RuleOutput:
     """Scale a unit-size output to size ``k``; quantities scale as ``k**power``."""
     if k.is_rational() and k.as_fraction() == 1:
         return unit
     factor = k**power
-    origin = Point(constructible(0), constructible(0))
-    return RuleOutput(
-        figures=tuple(similar(f, k, origin) for f in unit.figures),
-        claimed=unit.claimed.scale(factor),
-        actual=unit.actual.scale(factor),
-        witness_points=None
-        if unit.witness_points is None
-        else tuple(similar(p, k, origin) for p in unit.witness_points),
-    )
+    claims = (unit.claimed.scale(factor), unit.actual.scale(factor))
+    return similar_output(RuleOutput(unit.figures, *claims, unit.witness_points), k, _ORIGIN)
 
 
 # -- hypotenuse ---------------------------------------------------------------

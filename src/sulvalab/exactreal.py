@@ -21,9 +21,15 @@ pi truncated below 2**-1536).  The leading hex digits 3.243f6a8885a308d...
 match the published expansion, and the test suite cross-checks the full
 constant against an independent high-precision computation.
 
-All values are immutable; operations are pure functions.  The only hidden
-state is a per-value enclosure memo that can only shrink, so results are
-deterministic and values may be shared freely between threads.
+All values are immutable in what they denote, and arithmetic, signs,
+comparisons and decimals depend on their arguments alone.  Two kinds of
+state are kept outside the values, though.  The tower cap
+(:func:`set_tower_cap`) and the registry of towers are process state: every
+new square root reads the cap, and a tower opened by one call is reused by
+all later ones.  Each value also memoizes its best enclosure, and a fresh
+enclosure is intersected with that memo, so the endpoints :func:`enclose`
+returns are certified and nested but depend on the precisions the process
+requested before.
 """
 
 from __future__ import annotations

@@ -93,10 +93,6 @@ class Square:
             Point(cx - h, cy + h),
         )
 
-    def edges(self) -> tuple[Segment, ...]:
-        c = self.corners()
-        return tuple(Segment(c[i], c[(i + 1) % 4]) for i in range(4))
-
 
 @dataclass(frozen=True, eq=False)
 class Circle:

@@ -31,10 +31,11 @@ and calls; deeper input gets a positioned diagnostic marked ``limit``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Optional, TypeVar, Union
+from typing import Callable, NamedTuple, Optional, TypeVar, Union
 
 from . import catalog
 from .exactreal import (
@@ -58,7 +59,6 @@ from .geom import (
     circumscribed_circle,
     distance_squared,
     divide_segment,
-    similar,
     square_area,
     trisector_lines,
     vertical_line_circle_intersection,
@@ -129,6 +129,22 @@ class Call:
     line: int = field(compare=False, default=0)
     column: int = field(compare=False, default=0)
 
+    # compared and printed with explicit stacks, like _fold, so a tree as
+    # deep as MAX_NESTING never meets the recursion limit
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Call):
+            return NotImplemented
+        return list(_preorder(self)) == list(_preorder(other))
+
+    def __repr__(self) -> str:
+        return _fold(
+            self,
+            repr,
+            lambda c, args: f"Call(name={c.name!r}, args=[{', '.join(args)}], "
+            f"line={c.line!r}, column={c.column!r})",
+            limit=None,
+        )
+
 
 Expr = Union[Literal, Name, Call]
 
@@ -145,11 +161,12 @@ def _fold(
     expr: Expr,
     leaf: Callable[[Union[Literal, Name]], _R],
     call: Callable[[Call, list], _R],
+    limit: Optional[int] = MAX_NESTING,
 ) -> _R:
     """Bottom-up fold of an expression, arguments left to right.
 
     The walk keeps its own stack, so depth never meets Python's recursion
-    limit; a call nested past ``MAX_NESTING`` raises :class:`_NestingError`.
+    limit; a call nested past ``limit`` raises :class:`_NestingError`.
     """
     done: list = []
     todo: list[tuple[Expr, int]] = [(expr, 1)]  # depth -1: arguments done
@@ -162,12 +179,24 @@ def _fold(
             args = done[split:]
             del done[split:]
             done.append(call(node, args))
-        elif depth > MAX_NESTING:
+        elif limit is not None and depth > limit:
             raise _NestingError(node)
         else:
             todo.append((node, -1))
             todo.extend([(arg, depth + 1) for arg in reversed(node.args)])
     return done[0]
+
+
+def _preorder(expr: Expr):
+    """Nodes top-down: a call as ``(Call, name, arity)``, a leaf as itself."""
+    todo = [expr]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Call):
+            yield Call, node.name, len(node.args)
+            todo.extend(reversed(node.args))
+        else:
+            yield node
 
 
 @dataclass
@@ -217,11 +246,21 @@ class ParseResult:
 # -- lexer ---------------------------------------------------------------------
 
 _KEYWORDS = ("let", "assert", "emit")
-_SYMBOLS = ("==", "=", ";", ",", "(", ")", "/", "<", ">", "-")
+
+# one alternative per token kind, tried in order: whitespace is " \t\r\n"
+# only, a comment runs to the end of its line, digits are str.isdecimal
+# (\d), identifiers continue with str.isalnum or "_" (\w), and any other
+# character is "bad"; a newline is always matched as space
+_TOKEN = re.compile(
+    r"(?P<space>[ \t\r\n]+|#[^\n]*)"
+    r"|(?P<number>\d+(?:\.\d+)?)"
+    r"|(?P<ident>[^\W\d]\w*)"
+    r"|(?P<symbol>==|[=;,()/<>-])"
+    r"|(?P<bad>.)"
+)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident", "number", "symbol", "eof"
     text: str
     value: Optional[Fraction]
@@ -229,75 +268,34 @@ class _Token:
     column: int
 
 
-class _Lexer:
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-        self.diagnostics: list[Diagnostic] = []
+def _lex(source: str) -> tuple[list[_Token], list[Diagnostic]]:
+    """Tokens ending in "eof", and a diagnostic per unexpected character.
 
-    def error(self, message: str, line: int, column: int) -> None:
-        self.diagnostics.append(Diagnostic("error", message, line, column))
-
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.source) and self.source[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
-
-    def tokens(self) -> list[_Token]:
-        out: list[_Token] = []
-        src = self.source
-        while self.pos < len(src):
-            ch = src[self.pos]
-            if ch in " \t\r\n":
-                self._advance()
-                continue
-            if ch == "#":
-                while self.pos < len(src) and src[self.pos] != "\n":
-                    self._advance()
-                continue
-            line, column = self.line, self.column
-            if ch.isdigit():
-                start = self.pos
-                while self.pos < len(src) and src[self.pos].isdigit():
-                    self._advance()
-                if (
-                    self.pos + 1 < len(src)
-                    and src[self.pos] == "."
-                    and src[self.pos + 1].isdigit()
-                ):
-                    self._advance()
-                    while self.pos < len(src) and src[self.pos].isdigit():
-                        self._advance()
-                text = src[start : self.pos]
-                out.append(_Token("number", text, Fraction(text), line, column))
-                continue
-            if ch.isalpha() or ch == "_":
-                start = self.pos
-                while self.pos < len(src) and (
-                    src[self.pos].isalnum() or src[self.pos] == "_"
-                ):
-                    self._advance()
-                text = src[start : self.pos]
-                out.append(_Token("ident", text, None, line, column))
-                continue
-            if src.startswith("==", self.pos):
-                self._advance(2)
-                out.append(_Token("symbol", "==", None, line, column))
-                continue
-            if ch in "=;,()/<>-":
-                self._advance()
-                out.append(_Token("symbol", ch, None, line, column))
-                continue
-            self.error(f"unexpected character {ch!r}", line, column)
-            self._advance()
-        out.append(_Token("eof", "", None, self.line, self.column))
-        return out
+    Columns count code points from 1; a carriage return takes a column.
+    """
+    tokens: list[_Token] = []
+    diagnostics: list[Diagnostic] = []
+    line, line_start, pos = 1, 0, 0
+    while pos < len(source):
+        match = _TOKEN.match(source, pos)
+        kind, text = match.lastgroup, match.group()
+        column = pos - line_start + 1
+        if kind == "ident" and not (text[0].isalpha() or text[0] == "_"):
+            kind, text = "bad", text[0]  # \w also admits numerals such as '²'
+        pos += len(text)
+        if kind == "space":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = source.rindex("\n", 0, pos) + 1
+        elif kind == "bad":
+            diagnostics.append(
+                Diagnostic("error", f"unexpected character {text!r}", line, column)
+            )
+        else:
+            value = Fraction(text) if kind == "number" else None
+            tokens.append(_Token(kind, text, value, line, column))
+    tokens.append(_Token("eof", "", None, line, pos - line_start + 1))
+    return tokens, diagnostics
 
 
 # -- parser ---------------------------------------------------------------------
@@ -523,9 +521,7 @@ class _SyntaxAbort(Exception):
 
 def parse(source: str) -> ParseResult:
     """Parse and statically check a script, collecting all diagnostics."""
-    lexer = _Lexer(source)
-    tokens = lexer.tokens()
-    diagnostics = list(lexer.diagnostics)
+    tokens, diagnostics = _lex(source)
     parser = _Parser(tokens, diagnostics)
     script = parser.parse_program()
     if any(d.severity == "error" for d in diagnostics):
@@ -660,18 +656,7 @@ def _rule_input(rule: catalog.Rule, value: Value) -> tuple[ConstructibleReal, Po
 
 def _call_rule(rule: catalog.Rule, value: Value) -> catalog.RuleOutput:
     size, center = _rule_input(rule, value)
-    out = rule.run(size)
-    if center.x.is_zero() and center.y.is_zero():
-        return out
-    one = constructible(1)
-    return catalog.RuleOutput(
-        figures=tuple(similar(f, one, center) for f in out.figures),
-        claimed=out.claimed,
-        actual=out.actual,
-        witness_points=None
-        if out.witness_points is None
-        else tuple(similar(p, one, center) for p in out.witness_points),
-    )
+    return catalog.similar_output(rule.run(size), constructible(1), center)
 
 
 def _horizontal_intersections(y0: ConstructibleReal, circle: Circle) -> list[Point]:

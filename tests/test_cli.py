@@ -120,6 +120,16 @@ def test_run_parse_error_exits_1(tmp_path):
     assert "unknown name" in result.stderr
 
 
+def test_run_non_decimal_digit_is_a_diagnostic_exit_1(tmp_path):
+    script = tmp_path / "digit.sulva"
+    script.write_text("let x = ²;\n", encoding="utf-8")
+    result = invoke("run", str(script))
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert f"{script}:1:9: error: unexpected character '²'" in result.stderr
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize(
     "expr, column",
     [("-" * 5000 + "1", 1009), ("neg(" * 2000 + "1" + ")" * 2000, 4009)],

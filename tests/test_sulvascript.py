@@ -117,6 +117,26 @@ def test_independent_errors_all_collected():
     assert len(errs) == 4
 
 
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("let x = ²;", [(9, "unexpected character '²'"), (10, "expected an expression")]),
+        ("let x = 1²;", [(10, "unexpected character '²'")]),
+        ("let x = 1.²;", [(10, "unexpected character '.'"), (11, "unexpected character '²'")]),
+        ("let x = Ⅻ1;", [(9, "unexpected character 'Ⅻ'")]),
+    ],
+)
+def test_non_decimal_digits_are_unexpected_characters(source, expected):
+    assert [(d.column, d.message) for d in errors_of(source)] == expected
+
+
+def test_identifiers_and_numbers_take_non_ascii_letters_and_digits():
+    result = evaluate(parse_ok("let x² = ٣.٥;\nlet é½ = x²;\nemit é½;"))
+    assert [(name, value.as_fraction()) for name, value in result.emitted] == [
+        ("é½", Fraction(7, 2))
+    ]
+
+
 def test_diagnostics_carry_positions():
     errs = errors_of("let a = 1;\nlet b = nope(2);")
     assert errs[0].line == 2
@@ -324,8 +344,9 @@ def test_nesting_up_to_the_limit_parses_evaluates_and_formats(depth):
         "emit a, b, c, d;\n"
     )
     script = parse_ok(source)
-    formatted = format_script(script)  # strings: tree equality would recurse
+    formatted = format_script(script)
     assert format_script(parse_ok(formatted)) == formatted
+    assert parse_ok(formatted) == script
     result = evaluate(script)
     assert result.ok, [str(d) for d in result.diagnostics]
     sign = (-1) ** depth
@@ -341,3 +362,21 @@ def test_evaluator_rechecks_the_nesting_limit():
     result = evaluate(Script([Let("x", expr, 1, 1)]))
     assert [(d.column, d.limit) for d in result.diagnostics] == [(MAX_NESTING + 1, True)]
     assert result.environment == {}
+
+
+def test_deep_trees_compare_and_print_without_recursion():
+    def chain(depth, leaf):
+        expr = Literal(Fraction(leaf))
+        for level in range(depth, 0, -1):
+            expr = Call("neg", [expr], 1, level)
+        return expr
+
+    deep = chain(5000, 1)
+    assert deep == chain(5000, 1)
+    assert deep != chain(5000, 2)
+    assert deep != chain(4999, 1)
+    assert Call("add", [deep, Literal(Fraction(1))]) != Call("add", [deep, deep])
+    text = repr(deep)
+    assert text.startswith("Call(name='neg', args=[Call(name='neg', args=[")
+    assert text.count("Call(") == 5000
+    assert text.endswith("], line=1, column=1)")
