@@ -176,6 +176,11 @@ def analyze_command(
     click.echo(_table(_analyze_rows(reports, digits), header), nl=False)
 
 
+def _universal_newlines(text: str) -> str:
+    """``text`` with CRLF and CR read as LF, as a text-mode ``open`` reads it."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 @main.command("run")
 @click.argument(
     "script", type=click.Path(exists=True, dir_okay=False, readable=True)
@@ -191,11 +196,24 @@ def analyze_command(
 def run_command(script: str, svg_path: str | None, digits: int) -> None:
     """Parse and evaluate a .sulva construction script."""
     try:
-        with open(script, encoding="utf-8") as handle:
-            source = handle.read()
+        with open(script, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
+    try:
+        source = _universal_newlines(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        # positioned as the lexer positions characters
+        before = _universal_newlines(data[: exc.start].decode("utf-8"))
+        diagnostic = sulvascript.Diagnostic(
+            "error",
+            f"invalid UTF-8 byte 0x{data[exc.start]:02x}",
+            before.count("\n") + 1,
+            len(before) - before.rfind("\n"),
+        )
+        click.echo(f"{script}:{diagnostic}", err=True)
+        sys.exit(1)
     parsed = sulvascript.parse(source)
     for diagnostic in parsed.diagnostics:
         click.echo(f"{script}:{diagnostic}", err=True)

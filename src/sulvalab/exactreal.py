@@ -29,7 +29,10 @@ new square root reads the cap, and a tower opened by one call is reused by
 all later ones.  Each value also memoizes its best enclosure, and a fresh
 enclosure is intersected with that memo, so the endpoints :func:`enclose`
 returns are certified and nested but depend on the precisions the process
-requested before.
+requested before.  Last, a per-tower root memo keeps the square root of
+each radicand's enclosure at the current working precision, reused only
+for an equal enclosure at equal precision; a root is a function of those
+two, so this memo changes speed, never bytes.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Optional, TypeVar, Union
+from typing import Callable, NamedTuple, Optional, TypeVar, Union
 
 __all__ = [
     "CapacityError",
@@ -111,9 +114,13 @@ def sign_refinement_bits() -> int:
 # dyadic rationals and directed rounding
 
 
-@dataclass(frozen=True, slots=True)
-class Dyadic:
-    """An exact dyadic rational ``man * 2**exp`` with normalized mantissa."""
+class Dyadic(NamedTuple):
+    """An exact dyadic rational ``man * 2**exp`` with normalized mantissa.
+
+    Immutable; equality and hashing are on ``(man, exp)``, ordering is by
+    value.  A named tuple, because the interval kernels build one per
+    rounded endpoint and a tuple is the cheapest immutable record.
+    """
 
     man: int
     exp: int
@@ -123,7 +130,8 @@ class Dyadic:
         if man == 0:
             return _DY_ZERO
         shift = (man & -man).bit_length() - 1
-        return Dyadic(man >> shift, exp + shift)
+        # tuple.__new__ skips the generated keyword-argument constructor
+        return tuple.__new__(Dyadic, (man >> shift, exp + shift))
 
     def as_fraction(self) -> Fraction:
         if self.exp >= 0:
@@ -133,9 +141,9 @@ class Dyadic:
     def as_decimal(self) -> str:
         """Exact finite decimal expansion (dyadics always have one)."""
         if self.exp >= 0:
-            return str(self.man << self.exp)
+            return _int_str(self.man << self.exp)
         k = -self.exp
-        digits = str(abs(self.man) * 5**k).rjust(k + 1, "0")
+        digits = _int_str(abs(self.man) * 5**k).rjust(k + 1, "0")
         head, tail = digits[:-k], digits[-k:].rstrip("0")
         body = head + ("." + tail if tail else "")
         return "-" + body if self.man < 0 else body
@@ -169,6 +177,21 @@ class Dyadic:
 
 
 _DY_ZERO = Dyadic(0, 0)
+
+
+def _int_str(n: int) -> str:
+    """``str(n)`` at any length, without raising the process-wide cap.
+
+    Python converts at most 4300 digits (and never fewer than 640) in one
+    step by default; longer numbers are split at a power of ten.
+    """
+    if n.bit_length() <= 2000:  # about 600 digits
+        return str(n)
+    if n < 0:
+        return "-" + _int_str(-n)
+    half = n.bit_length() * 3 // 20  # about half of the decimal digits
+    high, low = divmod(n, 10**half)
+    return _int_str(high) + _int_str(low).rjust(half, "0")
 
 
 def _fraction_floor(value: Fraction, bits: int) -> Dyadic:
@@ -235,7 +258,7 @@ def _sqrt_ceil(x: Dyadic, bits: int) -> Dyadic:
 
 
 # raw enclosures are (lo, hi) pairs of Dyadic, rounded outward at each step.
-# The add, multiply and width kernels work on integer mantissas only: they
+# The multiply, add-multiply and width kernels work on integer mantissas: they
 # align exponents by shifting and keep bits + 1 significant bits, which is
 # the grid _fraction_floor and _fraction_ceil pick for the same value, so
 # they return the same dyadics without a gcd.
@@ -247,23 +270,49 @@ def _riv_from_fraction(f: Fraction, bits: int) -> _Raw:
     return _fraction_floor(f, bits), _fraction_ceil(f, bits)
 
 
-def _dy_sum(x: Dyadic, y: Dyadic) -> tuple[int, int]:
-    """``x + y`` as an unnormalized (mantissa, exponent) pair."""
-    if x.exp >= y.exp:
-        return (x.man << (x.exp - y.exp)) + y.man, y.exp
-    return x.man + (y.man << (y.exp - x.exp)), x.exp
+def _riv_add_mul(a: _Raw, b: _Raw, r: _Raw, bits: int) -> _Raw:
+    """``a + b*r``: the product rounded outward to ``bits + 1`` bits, then the sum.
+
+    A rounding to n significant bits depends on the value alone, not on its
+    (mantissa, exponent) form, so the product stays an unnormalized integer
+    pair and only the two results become dyadics.
+    """
+    n = bits + 1
+    (bl_man, bl_exp), (bh_man, bh_exp) = b
+    (rl_man, rl_exp), (rh_man, rh_exp) = r
+    exp = min(bl_exp, bh_exp) + min(rl_exp, rh_exp)
+    products = (
+        bl_man * rl_man << (bl_exp + rl_exp - exp),
+        bl_man * rh_man << (bl_exp + rh_exp - exp),
+        bh_man * rl_man << (bh_exp + rl_exp - exp),
+        bh_man * rh_man << (bh_exp + rh_exp - exp),
+    )
+    lo, hi = min(products), max(products)
+    lo_exp = hi_exp = exp
+    shift = lo.bit_length() - n
+    if shift > 0:
+        lo, lo_exp = lo >> shift, exp + shift
+    shift = hi.bit_length() - n
+    if shift > 0:
+        hi, hi_exp = -((-hi) >> shift), exp + shift
+    (al_man, al_exp), (ah_man, ah_exp) = a
+    if al_exp >= lo_exp:
+        lo += al_man << (al_exp - lo_exp)
+    else:
+        lo, lo_exp = al_man + (lo << (lo_exp - al_exp)), al_exp
+    if ah_exp >= hi_exp:
+        hi += ah_man << (ah_exp - hi_exp)
+    else:
+        hi, hi_exp = ah_man + (hi << (hi_exp - ah_exp)), ah_exp
+    return _round_floor(lo, lo_exp, n), _round_ceil(hi, hi_exp, n)
 
 
-def _riv_add(a: _Raw, b: _Raw, bits: int) -> _Raw:
-    lo = _round_floor(*_dy_sum(a[0], b[0]), bits + 1)
-    return lo, _round_ceil(*_dy_sum(a[1], b[1]), bits + 1)
+_RAW_ZERO = (_DY_ZERO, _DY_ZERO)
 
 
 def _riv_mul(a: _Raw, b: _Raw, bits: int) -> _Raw:
-    products = [(x.man * y.man, x.exp + y.exp) for x in a for y in b]
-    exp = min(e for _, e in products)
-    aligned = [m << (e - exp) for m, e in products]
-    return _round_floor(min(aligned), exp, bits + 1), _round_ceil(max(aligned), exp, bits + 1)
+    # adding an exact zero leaves the product's rounding as it is
+    return _riv_add_mul(_RAW_ZERO, a, b, bits)
 
 
 def _riv_div(a: _Raw, b: _Raw, bits: int) -> _Raw:
@@ -284,9 +333,13 @@ def _riv_sqrt(a: _Raw, bits: int) -> _Raw:
 
 def _riv_width_ok(lo: Dyadic, hi: Dyadic, precision_bits: int) -> bool:
     """``hi - lo <= 2**(1 - precision_bits) * max(1, |hi|)``, in integers."""
-    width, width_exp = _dy_sum(hi, -lo)
-    if hi.man and hi.man.bit_length() + hi.exp > 0:  # |hi| >= 1
-        scale, scale_exp = abs(hi.man), hi.exp + 1 - precision_bits
+    (lo_man, lo_exp), (hi_man, hi_exp) = lo, hi
+    if hi_exp >= lo_exp:
+        width, width_exp = (hi_man << (hi_exp - lo_exp)) - lo_man, lo_exp
+    else:
+        width, width_exp = hi_man - (lo_man << (lo_exp - hi_exp)), hi_exp
+    if hi_man and hi_man.bit_length() + hi_exp > 0:  # |hi| >= 1
+        scale, scale_exp = abs(hi_man), hi_exp + 1 - precision_bits
     else:
         scale, scale_exp = 1, 1 - precision_bits
     if width_exp >= scale_exp:
@@ -451,6 +504,27 @@ class Tower:
 
 _ROOT_EXTENSIONS: list[tuple["ConstructibleReal", "Tower"]] = []
 _ROOT_INDEX: dict[Fraction, Tower] = {}  # the same towers, by rational radicand
+
+# The per-tower root memo: tower -> (d, _riv_sqrt(d, _root_bits)) for the
+# radicand's enclosure d at working precision _root_bits.  It is emptied
+# whenever the precision changes, so it holds the towers of the current
+# traversal, not a root for every tower ever made.
+_ROOTS: dict[Tower, tuple[_Raw, _Raw]] = {}
+_root_bits = 0
+
+
+def _tower_root(tower: Tower, d: _Raw, bits: int) -> _Raw:
+    """``_riv_sqrt(d, bits)`` for the radicand enclosure ``d`` of ``tower``, memoized."""
+    global _root_bits
+    if bits != _root_bits:
+        _ROOTS.clear()
+        _root_bits = bits
+    memo = _ROOTS.get(tower)
+    if memo is not None and (memo[0] is d or memo[0] == d):
+        return memo[1]
+    root = _riv_sqrt(d, bits)
+    _ROOTS[tower] = (d, root)
+    return root
 
 
 def _extend(parent: Optional[Tower], radicand: "ConstructibleReal") -> Tower:
@@ -642,7 +716,10 @@ class ConstructibleReal:
 
         Fresh results are intersected with the cached best enclosure, so
         later calls can only tighten; this is what makes nested requests
-        return nested intervals.
+        return nested intervals.  The enclosure of the tower's root comes
+        from the per-tower root memo when the radicand's enclosure and
+        ``bits`` are the same as when it was stored; that memo changes speed,
+        never bytes.
         """
         cached = self._iv
         if cached is not None and _riv_width_ok(cached[0], cached[1], bits):
@@ -655,8 +732,7 @@ class ConstructibleReal:
             a = self.a._interval_raw(bits)
             b = self.b._interval_raw(bits)
             d = self.tower.radicand._interval_raw(bits)
-            root = _riv_sqrt(d, bits)
-            fresh = _riv_add(a, _riv_mul(b, root, bits), bits)
+            fresh = _riv_add_mul(a, b, _tower_root(self.tower, d, bits), bits)
         if cached is not None:
             lo = fresh[0] if cached[0] < fresh[0] else cached[0]
             hi = fresh[1] if fresh[1] < cached[1] else cached[1]
@@ -1159,7 +1235,7 @@ class Quantity:
         if self.c1.is_zero():
             return base
         coef = self.c1._interval_raw(bits)
-        return _riv_add(base, _riv_mul(coef, _riv_pi(bits), bits), bits)
+        return _riv_add_mul(base, coef, _riv_pi(bits), bits)
 
     def enclose(self, precision_bits: int) -> Interval:
         if precision_bits < 4:
@@ -1227,7 +1303,7 @@ def _decimal_ceil(value: Fraction, digits: int) -> str:
 
 def _format_scaled(units: int, digits: int) -> str:
     sign_prefix = "-" if units < 0 else ""
-    text = str(abs(units)).rjust(digits + 1, "0")
+    text = _int_str(abs(units)).rjust(digits + 1, "0")
     if digits == 0:
         return sign_prefix + text
     return f"{sign_prefix}{text[:-digits]}.{text[-digits:]}"

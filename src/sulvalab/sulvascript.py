@@ -26,7 +26,9 @@ rationals; a decimal literal denotes its exact finite value, never a
 float.  Catalog rules are callable by id (a figure argument recenters the
 construction on that figure), so scripts double as executable notes on
 each rule.  An expression nests at most ``MAX_NESTING`` levels of ``-``
-and calls; deeper input gets a positioned diagnostic marked ``limit``.
+and calls, and a numeric literal has at most ``MAX_LITERAL_DIGITS``
+digits; input past either bound gets a positioned diagnostic marked
+``limit``.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from .geom import (
 )
 
 __all__ = [
+    "MAX_LITERAL_DIGITS",
     "MAX_NESTING",
     "Diagnostic",
     "EvalResult",
@@ -91,6 +94,9 @@ Value = Union[
 
 # levels of unary minus and call nesting one expression may have
 MAX_NESTING = 1000
+# digits one numeric literal may have; Python converts at most 4300 digits
+# between str and int by default
+MAX_LITERAL_DIGITS = 4000
 
 
 @dataclass(frozen=True)
@@ -99,7 +105,7 @@ class Diagnostic:
     message: str
     line: int
     column: int
-    limit: bool = False  # the input exceeds MAX_NESTING, not the language
+    limit: bool = False  # the input exceeds a MAX_* bound, not the language
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}: {self.severity}: {self.message}"
@@ -291,6 +297,11 @@ def _lex(source: str) -> tuple[list[_Token], list[Diagnostic]]:
             diagnostics.append(
                 Diagnostic("error", f"unexpected character {text!r}", line, column)
             )
+        elif kind == "number" and len(text) - text.count(".") > MAX_LITERAL_DIGITS:
+            message = f"numeric literal longer than {MAX_LITERAL_DIGITS} digits"
+            diagnostics.append(Diagnostic("error", message, line, column, limit=True))
+            # a stand-in value lets the parser go on to later diagnostics
+            tokens.append(_Token(kind, text, Fraction(1), line, column))
         else:
             value = Fraction(text) if kind == "number" else None
             tokens.append(_Token(kind, text, value, line, column))

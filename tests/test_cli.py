@@ -131,6 +131,36 @@ def test_run_non_decimal_digit_is_a_diagnostic_exit_1(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"let x = 1;\xff", "1:11: error: invalid UTF-8 byte 0xff"),
+        (b"let x = 1;\r\nlet y = \xc3\xa9x\xe9;\n", "2:11: error: invalid UTF-8 byte 0xe9"),
+        (b"# \xc3\xa9\rlet x = \xc3", "2:9: error: invalid UTF-8 byte 0xc3"),
+    ],
+    ids=["trailing-ff", "after-crlf-and-e-acute", "truncated-after-cr"],
+)
+def test_run_invalid_utf8_is_a_diagnostic_exit_1(tmp_path, content, message):
+    # positions as the lexer gives them once CRLF and CR have become LF
+    script = tmp_path / "bytes.sulva"
+    script.write_bytes(content)
+    result = invoke("run", str(script))
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr == f"{script}:{message}\n"
+    assert result.stdout == ""
+
+
+def test_run_overlong_literal_exits_2(tmp_path):
+    script = tmp_path / "long.sulva"
+    script.write_text(f"let x = {'1' * 5000};\nemit x;\n")
+    result = invoke("run", str(script))
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "long.sulva:1:9: error: numeric literal longer than 4000 digits" in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
     "expr, column",
     [("-" * 5000 + "1", 1009), ("neg(" * 2000 + "1" + ")" * 2000, 4009)],
     ids=["5000-minus", "2000-neg"],

@@ -1,5 +1,6 @@
 """Exact-arithmetic core: examples, oracle soundness, algebraic properties."""
 
+import decimal
 import random
 from fractions import Fraction
 
@@ -483,6 +484,17 @@ def test_to_decimal_quantity_constant():
     assert to_decimal(Quantity(Fraction(16, 5), 0), 6) == "3.2"
 
 
+def test_to_decimal_past_the_int_string_digit_limit():
+    # Python converts at most 4300 digits between int and str by default
+    assert to_decimal(from_rational(10**5000 + 1), 2) == "1" + "0" * 4999 + "1"
+    assert to_decimal(from_rational(10**5000 + 1, 3), 2) == "3" * 5000 + ".67…"
+    assert to_decimal(-sqrt(10**9000), 1) == "-1" + "0" * 4500
+    tiny = er.Dyadic.of(1, -9000).as_decimal()  # 5**9000 has 6291 digits
+    with decimal.localcontext() as context:
+        context.prec = 7000
+        assert decimal.Decimal(tiny) == decimal.Decimal(2) ** -9000
+
+
 # -- structural properties ---------------------------------------------------------
 
 
@@ -552,6 +564,20 @@ def test_dyadic_decimal_is_exact():
     assert Dyadic.of(3, -2).as_decimal() == "0.75"
     assert Dyadic.of(-5, -3).as_decimal() == "-0.625"
     assert Dyadic.of(7, 2).as_decimal() == "28"
+
+
+def test_dyadic_is_an_immutable_value():
+    from sulvalab.exactreal import Dyadic
+
+    a, b = Dyadic.of(12, -3), Dyadic(6, -2)  # 3/2 normalized, and unnormalized
+    assert (a.man, a.exp) == (3, -1) and repr(a) == "Dyadic(man=3, exp=-1)"
+    # equality and hashing are on the form, ordering is on the value
+    assert a != b and a == Dyadic(3, -1) and hash(a) == hash(Dyadic(3, -1))
+    assert a <= b and a >= b and not a < b and not a > b
+    assert Dyadic.of(-1) < b < Dyadic.of(7, -2)
+    assert str(-a) == "-1.5" and -Dyadic.of(0) is Dyadic.of(0)
+    with pytest.raises(AttributeError):
+        a.man = 1
 
 
 def test_repr_and_str_forms():

@@ -2,6 +2,8 @@
 
 The interval kernels work on integer mantissas; the references below are the
 ``Fraction`` formulas they replaced, and every output dyadic must be equal.
+Each tower keeps the square root of its radicand's latest enclosure; every
+stored root must equal a fresh one.
 Tower multiplication uses scalar and Karatsuba shortcuts; the reference is
 the schoolbook 5-product recursion, and the results must be structurally
 equal (canonical form makes that the same as equal values on one chain).
@@ -52,11 +54,22 @@ precisions = st.integers(1, 300)
 
 
 @settings(max_examples=300, deadline=None)
-@given(raws, raws, precisions)
-@example((Dyadic.of(0), Dyadic.of(0)), (Dyadic.of(-3, -2), Dyadic.of(5, 700)), 8)
-@example((Dyadic.of(1, -900), Dyadic.of(1, 900)), (Dyadic.of(-1), Dyadic.of(1)), 64)
-def test_riv_add_matches_fraction_formula(a, b, bits):
-    assert er._riv_add(a, b, bits) == ref_add(a, b, bits)
+@given(raws, raws, raws, precisions)
+@example(
+    (Dyadic.of(0), Dyadic.of(0)),
+    (Dyadic.of(1), Dyadic.of(1)),
+    (Dyadic.of(-3, -2), Dyadic.of(5, 700)),
+    8,
+)
+@example(
+    (Dyadic.of(1, -900), Dyadic.of(1, 900)),
+    (Dyadic.of(1), Dyadic.of(1)),
+    (Dyadic.of(-1), Dyadic.of(1)),
+    64,
+)
+def test_riv_add_mul_matches_fraction_formula(a, b, r, bits):
+    expected = ref_add(a, ref_mul(b, r, bits), bits)
+    assert er._riv_add_mul(a, b, r, bits) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -166,3 +179,39 @@ def test_mul_matches_schoolbook(left, right, data):
     y = data.draw(elements(*right), label="y")
     assert structurally_equal(er._mul(x, y), schoolbook(x, y))
 
+
+
+# -- root memo -------------------------------------------------------------------
+
+
+def test_every_stored_root_is_the_fresh_square_root():
+    x = MAIN[-1]
+    y = (x + 1) / (x - 1)
+    cross = SIDE[-1] * MAIN[3]  # embeds one chain into the other
+    for bits in (320, 64, 1024, 128, 320, 48):
+        er.enclose(y, bits)
+        er.enclose(cross, bits)
+        er.sign(y - er.enclose(y, bits).midpoint())
+        er.to_decimal(cross, bits // 10)
+        assert len(er._ROOTS) >= len(SIDE)
+        for d, root in er._ROOTS.values():
+            assert root == er._riv_sqrt(d, er._root_bits)
+
+
+def test_a_stored_root_follows_a_tighter_radicand():
+    # a traversal at other bits empties the memo, so the radicand of a tower
+    # is tightened here behind its back; at the same bits, a fresh node must
+    # get the root of the tighter enclosure, not the stored one
+    one = er._rational(Fraction(1))
+    tower = sqrt(sqrt(1009) + 31).tower
+    for bits in (56, 328):
+        tight = (sqrt(1009) + 31)._interval_raw(4 * bits)
+        er._raw_node(tower, one, one)._interval_raw(bits)
+        assert er._ROOTS[tower][0] != tight
+        tower.radicand._iv = tight
+        fresh = er._raw_node(tower, one, one)._interval_raw(bits)
+        assert er._root_bits == bits
+        assert er._ROOTS[tower] == (tight, er._riv_sqrt(tight, bits))
+        assert fresh == er._riv_add_mul(
+            one._interval_raw(bits), one._interval_raw(bits), er._ROOTS[tower][1], bits
+        )

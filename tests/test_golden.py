@@ -1,5 +1,6 @@
 """Byte-for-byte golden outputs: CLI artifacts, demo reports and figures,
-and repeated ``analysis.full_table`` calls in one process.
+repeated ``analysis.full_table`` calls in one process, and a fixed sequence
+of enclosures, signs and decimals of nested radicals up to height 6.
 
 Each artifact is produced in a fresh interpreter, because enclosure memos
 carry over between calls in one process and can change later bytes.  To
@@ -52,6 +53,43 @@ for call, bits in enumerate((64, 64, 128, 128, 1024, 1024, 128), 1):
     (out / f"full_table_{call}_b{bits}.json").write_bytes(text.encode())
 """
 
+# nested radicals x1 = sqrt(a1), x(i) = sqrt(a(i) + x(i-1)) of heights 2, 4
+# and 6, with y = (x + 1)/(x - 1); the primes lie outside their towers, and a
+# height-6 tower has no room for one more level under the default cap
+_DEEP_CODE = """
+import json
+import sys
+from pathlib import Path
+from sulvalab import exactreal as er
+out = Path(sys.argv[1])
+
+def endpoints(interval):
+    return [interval.lo.as_decimal(), interval.hi.as_decimal()]
+
+records = []
+for radicands, prime in (
+    ([17, 23], 101),
+    ([13, 29, 41, 53], 103),
+    ([11, 37, 59, 71, 83, 97], None),
+):
+    x = er.sqrt(radicands[0])
+    for a in radicands[1:]:
+        x = er.sqrt(x + a)
+    y = (x + 1) / (x - 1)
+    near = er.enclose(y, 320)
+    record = {"radicands": radicands, "height": x.tower.height}
+    record["enclose_y_320"] = endpoints(near)
+    record["sign_y_minus_midpoint"] = er.sign(y - near.midpoint())
+    record["enclose_y_1024"] = endpoints(er.enclose(y, 1024))
+    if prime is not None:
+        record["prime"] = prime
+        record["enclose_x_sqrt_prime_128"] = endpoints(er.enclose(x * er.sqrt(prime), 128))
+    record["y_30_digits"] = er.to_decimal(y, 30)
+    records.append(record)
+text = json.dumps(records, indent=2) + "\\n"
+(out / "deep_towers_sequence.json").write_bytes(text.encode())
+"""
+
 
 def _run(args: list) -> bytes:
     proc = subprocess.run(
@@ -68,6 +106,7 @@ def capture(out: Path) -> None:
     for script in sorted(DEMOS.glob("*.sulva")):
         _run(["-c", _DEMO_CODE, str(script), str(out)])
     _run(["-c", _TABLE_CODE, str(out)])
+    _run(["-c", _DEEP_CODE, str(out)])
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from sulvalab.sulvascript import (
+    MAX_LITERAL_DIGITS,
     MAX_NESTING,
     Call,
     Let,
@@ -331,6 +332,36 @@ def test_deep_nesting_is_a_positioned_diagnostic(expr, column):
         (2, 9, False, "unknown name 'nope'"),
     ]
     assert not result.ok
+
+
+def test_long_literals_are_a_positioned_limit_diagnostic():
+    # past Python's 4300-digit int conversion, and just past the bound
+    source = (
+        f"let x = {'7' * 5000};\n"
+        f"let y = 1/{'3' * (MAX_LITERAL_DIGITS + 1)};\n"
+        f"let z = -0.{'5' * MAX_LITERAL_DIGITS};\n"
+        "let w = nope(1);\n"
+    )
+    result = parse(source)
+    messages = [(d.line, d.column, d.limit, d.message) for d in result.diagnostics]
+    too_long = f"numeric literal longer than {MAX_LITERAL_DIGITS} digits"
+    assert messages == [
+        (1, 9, True, too_long),
+        (2, 11, True, too_long),
+        (3, 10, True, too_long),
+        (4, 9, False, "unknown name 'nope'"),
+    ]
+    assert not result.ok
+
+
+def test_literals_up_to_the_bound_evaluate_and_report_exactly():
+    digits = "9" * MAX_LITERAL_DIGITS
+    script = parse_ok(f"let x = {digits};\nlet y = mul(x, x);\nemit x, y;\n")
+    result = evaluate(script)
+    value = 10**MAX_LITERAL_DIGITS - 1
+    assert [v.as_fraction() for _, v in result.emitted] == [value, value * value]
+    square = "9" * (MAX_LITERAL_DIGITS - 1) + "8" + "0" * (MAX_LITERAL_DIGITS - 1) + "1"
+    assert render_report(result) == f"x = {digits}\ny = {square}\n"
 
 
 @pytest.mark.parametrize("depth", [900, MAX_NESTING])
