@@ -18,6 +18,8 @@ import click
 from . import analysis, catalog, exactreal, sulvascript, svg_render
 from .exactreal import DomainError, to_decimal
 
+__all__ = ["main"]
+
 PRECISION_RANGE = click.IntRange(8, 1024)
 DIGITS_RANGE = click.IntRange(1, 60)
 TOWER_CAP_RANGE = click.IntRange(1, 64)
@@ -232,7 +234,8 @@ def run_command(script: str, svg_path: str | None, digits: int) -> None:
             sys.exit(2)
         with open(svg_path, "w", encoding="utf-8", newline="") as handle:
             handle.write(svg_render.to_svg(figures))
-    sys.exit(0 if result.ok else 1)
+    limited = any(d.limit for d in result.diagnostics)
+    sys.exit(0 if result.ok else 2 if limited else 1)
 
 
 @main.command("render")

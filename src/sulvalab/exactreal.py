@@ -675,15 +675,18 @@ class ConstructibleReal:
             if self.is_zero():
                 raise DomainError("division by zero")
             return _inv(self) ** (-exponent)
-        result = _ONE
+        # square-and-multiply from the lowest set bit: no product with one,
+        # and no squaring past the highest bit
+        result: Optional[ConstructibleReal] = None
         base = self
         n = exponent
         while n:
             if n & 1:
-                result = _mul(result, base)
-            base = _mul(base, base)
+                result = base if result is None else _mul(result, base)
             n >>= 1
-        return result
+            if n:
+                base = _mul(base, base)
+        return _ONE if result is None else result
 
     # -- exact comparisons -------------------------------------------------
 
@@ -747,7 +750,10 @@ class ConstructibleReal:
 
     def __str__(self) -> str:
         if self.tower is None:
-            return str(self.frac)
+            # str(Fraction) raises past Python's int/str digit limit
+            frac = self.frac
+            num = _int_str(frac.numerator)
+            return num if frac.denominator == 1 else f"{num}/{_int_str(frac.denominator)}"
         assert self.a is not None and self.b is not None
         root = f"sqrt({self.tower.radicand})"
         b = self.b

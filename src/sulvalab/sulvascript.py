@@ -26,9 +26,9 @@ rationals; a decimal literal denotes its exact finite value, never a
 float.  Catalog rules are callable by id (a figure argument recenters the
 construction on that figure), so scripts double as executable notes on
 each rule.  An expression nests at most ``MAX_NESTING`` levels of ``-``
-and calls, and a numeric literal has at most ``MAX_LITERAL_DIGITS``
-digits; input past either bound gets a positioned diagnostic marked
-``limit``.
+and calls, a numeric literal has at most ``MAX_LITERAL_DIGITS`` digits,
+and ``divide`` cuts a segment into at most ``MAX_PARTS`` parts; input past
+any of these bounds gets a positioned diagnostic marked ``limit``.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ from .geom import (
 __all__ = [
     "MAX_LITERAL_DIGITS",
     "MAX_NESTING",
+    "MAX_PARTS",
     "Diagnostic",
     "EvalResult",
     "ParseResult",
@@ -97,6 +98,9 @@ MAX_NESTING = 1000
 # digits one numeric literal may have; Python converts at most 4300 digits
 # between str and int by default
 MAX_LITERAL_DIGITS = 4000
+# parts one divide() call may cut a segment into; time and memory grow with
+# the count
+MAX_PARTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -586,8 +590,9 @@ class EvalResult:
 
 
 class _EvalError(Exception):
-    def __init__(self, message: str):
+    def __init__(self, message: str, limit: bool = False):
         self.message = message
+        self.limit = limit
 
 
 def _need_number(value: Value, what: str) -> ConstructibleReal:
@@ -666,8 +671,16 @@ def _rule_input(rule: catalog.Rule, value: Value) -> tuple[ConstructibleReal, Po
 
 
 def _call_rule(rule: catalog.Rule, value: Value) -> catalog.RuleOutput:
-    size, center = _rule_input(rule, value)
-    return catalog.similar_output(rule.run(size), constructible(1), center)
+    return rule.run(*_rule_input(rule, value))
+
+
+def _divide(s: Value, n: Value) -> list[Point]:
+    segment = _need(s, Segment, "argument")
+    parts = _need_index(n, "part count")
+    if parts > MAX_PARTS:
+        message = f"divide() takes at most {MAX_PARTS} parts, got {parts}"
+        raise _EvalError(message, limit=True)
+    return divide_segment(segment, parts)
 
 
 def _horizontal_intersections(y0: ConstructibleReal, circle: Circle) -> list[Point]:
@@ -765,12 +778,7 @@ _VOCABULARY: dict[str, tuple[int, Callable[..., Value]]] = {
     "radius": (1, lambda c: _need(c, Circle, "argument").radius),
     "xcoord": (1, lambda p: _need(p, Point, "argument").x),
     "ycoord": (1, lambda p: _need(p, Point, "argument").y),
-    "divide": (
-        2,
-        lambda s, n: divide_segment(
-            _need(s, Segment, "argument"), _need_index(n, "part count")
-        ),
-    ),
+    "divide": (2, _divide),
     "circumcircle": (1, lambda s: circumscribed_circle(_need(s, Square, "argument"))),
     "trisectors_vertical": (
         1,
@@ -846,7 +854,7 @@ class _Evaluator:
             return _VOCABULARY[expr.name][1](*args)
         except _EvalError as exc:
             raise _EvalAbort(
-                Diagnostic("error", exc.message, expr.line, expr.column)
+                Diagnostic("error", exc.message, expr.line, expr.column, exc.limit)
             ) from None
         except (DomainError, CapacityError, UnsupportedQuantityError) as exc:
             raise _EvalAbort(

@@ -8,17 +8,9 @@ import pytest
 from sulvalab.catalog import (
     CATALOG,
     UnknownRuleError,
-    circle_from_square_baudhayana,
-    circle_from_square_gupta,
-    circle_from_square_manava_dani,
-    circle_from_square_manava_vangelder,
-    circumference_rule,
-    double_square_by_diagonal,
     hypotenuse,
-    inscribed_square,
     lookup,
     rule_ids,
-    square_from_circle,
     sqrt2_sulba_constant,
 )
 from sulvalab.exactreal import DomainError, enclose, from_rational, sqrt
@@ -59,7 +51,7 @@ def test_hypotenuse_rejects_negative():
 
 
 def test_baudhayana_radius():
-    out = circle_from_square_baudhayana(1)
+    out = lookup("baudhayana").run(1)
     circle = out.figures[-1]
     assert isinstance(circle, Circle)
     iv = enclose(circle.radius, 64)
@@ -69,13 +61,13 @@ def test_baudhayana_radius():
 
 def test_baudhayana_radius_identity():
     # half side plus a third of the jut equals side*(2+sqrt(2))/6 exactly
-    out = circle_from_square_baudhayana(1)
+    out = lookup("baudhayana").run(1)
     circle = out.figures[-1]
     assert (circle.radius - (2 + sqrt(2)) / 6).sign() == 0
 
 
 def test_baudhayana_area_oracle():
-    out = circle_from_square_baudhayana(1)
+    out = lookup("baudhayana").run(1)
     iv = out.actual.enclose(96)
     area = oracle(lambda: mpmath.pi * ((2 + mpmath.sqrt(2)) / 6) ** 2)
     assert iv.contains(area)
@@ -84,21 +76,21 @@ def test_baudhayana_area_oracle():
 
 
 def test_baudhayana_scaling():
-    r1 = circle_from_square_baudhayana(1).figures[-1].radius
-    r2 = circle_from_square_baudhayana(2).figures[-1].radius
+    r1 = lookup("baudhayana").run(1).figures[-1].radius
+    r2 = lookup("baudhayana").run(2).figures[-1].radius
     assert (r2 - r1 * 2).sign() == 0
 
 
 def test_baudhayana_rejects_nonpositive():
     with pytest.raises(DomainError):
-        circle_from_square_baudhayana(0)
+        lookup("baudhayana").run(0)
 
 
 # -- Dani reading ------------------------------------------------------------------
 
 
 def dani_unit():
-    return circle_from_square_manava_dani(1)
+    return lookup("manava_dani").run(1)
 
 
 def test_dani_witnesses_equidistant():
@@ -161,7 +153,7 @@ def test_dani_figures_inventory():
 
 
 def test_dani_scaled_witnesses():
-    out = circle_from_square_manava_dani(3)
+    out = lookup("manava_dani").run(3)
     center = Point(from_rational(0), from_rational(0))
     d0 = distance_squared(out.witness_points[0], center)
     unit_d0 = distance_squared(dani_unit().witness_points[0], center)
@@ -172,7 +164,7 @@ def test_dani_scaled_witnesses():
 
 
 def test_vangelder_radius():
-    out = circle_from_square_manava_vangelder(1)
+    out = lookup("manava_vangelder").run(1)
     circle = out.figures[-1]
     iv = enclose(circle.radius, 64)
     assert iv.contains(
@@ -184,7 +176,7 @@ def test_vangelder_radius():
 
 
 def test_vangelder_area_much_too_large():
-    out = circle_from_square_manava_vangelder(1)
+    out = lookup("manava_vangelder").run(1)
     iv = out.actual.enclose(96)
     assert iv.lo.as_fraction() > Fraction("1.30")
     assert in_band(iv, "1.3262", "1.3263")
@@ -199,13 +191,13 @@ def test_vangelder_flagged_as_reconstruction():
 
 
 def test_gupta_area_exact():
-    out = circle_from_square_gupta(1)
+    out = lookup("manava_gupta").run(1)
     assert out.actual.c0.is_zero()
     assert out.actual.c1.as_fraction() == Fraction(8, 25)
 
 
 def test_gupta_radius():
-    out = circle_from_square_gupta(1)
+    out = lookup("manava_gupta").run(1)
     iv = enclose(out.figures[-1].radius, 64)
     assert in_band(iv, "0.565685", "0.565686")
 
@@ -214,25 +206,25 @@ def test_gupta_radius():
 
 
 def test_circumference_manava():
-    out = circumference_rule("manava_16_5", 1)
+    out = lookup("manava_16_5").run(1)
     assert out.claimed.constant_part().as_fraction() == Fraction(16, 5)
     assert out.actual.c1.as_fraction() == 1
 
 
 def test_circumference_classical():
-    out = circumference_rule("classical_3", 1)
+    out = lookup("classical_3").run(1)
     assert out.claimed.constant_part().as_fraction() == 3
 
 
 def test_circumference_jaina():
-    out = circumference_rule("jaina_sqrt10", 1)
+    out = lookup("jaina_sqrt10").run(1)
     iv = enclose(out.claimed.constant_part(), 64)
     assert iv.contains(oracle(lambda: mpmath.sqrt(10)))
     assert in_band(iv, "3.16227", "3.16228")
 
 
 def test_circumference_scales_linearly():
-    out = circumference_rule("manava_16_5", Fraction(7, 2))
+    out = lookup("manava_16_5").run(Fraction(7, 2))
     assert out.claimed.constant_part().as_fraction() == Fraction(16, 5) * Fraction(7, 2)
 
 
@@ -240,7 +232,7 @@ def test_circumference_scales_linearly():
 
 
 def test_inscribed_exact_on_circle():
-    out = inscribed_square("exact", 1)
+    out = lookup("inscribed_exact").run(1)
     circle, square = out.figures
     r2 = circle.radius * circle.radius
     for corner in square.corners():
@@ -250,8 +242,8 @@ def test_inscribed_exact_on_circle():
 
 
 def test_inscribed_variants():
-    assert inscribed_square("manava_7_10", 1).actual.constant_part().as_fraction() == Fraction(7, 10)
-    assert inscribed_square("standard_12_17", 1).actual.constant_part().as_fraction() == Fraction(12, 17)
+    assert lookup("manava_7_10").run(1).actual.constant_part().as_fraction() == Fraction(7, 10)
+    assert lookup("standard_12_17").run(1).actual.constant_part().as_fraction() == Fraction(12, 17)
 
 
 def test_inscribed_accuracy_ordering():
@@ -267,14 +259,14 @@ def test_inscribed_accuracy_ordering():
 
 
 def test_square_from_circle_13_15():
-    out = square_from_circle("rule_13_15", 1)
+    out = lookup("rule_13_15").run(1)
     square = out.figures[1]
     assert square.side.as_fraction() == Fraction(13, 15)
     assert out.claimed.c1.as_fraction() == Fraction(1, 4)
 
 
 def test_square_from_circle_hayashi():
-    out = square_from_circle("hayashi", 1)
+    out = lookup("hayashi").run(1)
     square = out.figures[1]
     iv = enclose(square.side, 64)
     assert iv.contains(oracle(lambda: mpmath.sqrt(3) / 2))
@@ -287,20 +279,20 @@ def test_square_from_circle_hayashi():
 
 
 def test_double_square_exact():
-    out = double_square_by_diagonal(1)
+    out = lookup("double_diagonal").run(1)
     assert (out.actual - out.claimed).sign() == 0
     assert out.actual.constant_part().as_fraction() == 2
 
 
 def test_double_square_three_halves():
-    out = double_square_by_diagonal(Fraction(3, 2))
+    out = lookup("double_diagonal").run(Fraction(3, 2))
     assert out.actual.constant_part().as_fraction() == Fraction(9, 2)
 
 
 def test_double_square_composed_twice():
-    once = double_square_by_diagonal(1)
+    once = lookup("double_diagonal").run(1)
     new_side = once.figures[1].side
-    twice = double_square_by_diagonal(new_side)
+    twice = lookup("double_diagonal").run(new_side)
     assert twice.actual.constant_part().as_fraction() == 4
 
 

@@ -12,6 +12,7 @@ import pytest
 from sulvalab.catalog import CATALOG
 from sulvalab.cli import main
 from sulvalab.exactreal import set_tower_cap, tower_cap
+from sulvalab.sulvascript import MAX_PARTS
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -158,6 +159,33 @@ def test_run_overlong_literal_exits_2(tmp_path):
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "long.sulva:1:9: error: numeric literal longer than 4000 digits" in result.stderr
     assert result.stdout == ""
+
+
+def test_run_divide_past_the_part_bound_exits_2(tmp_path):
+    script = tmp_path / "parts.sulva"
+    script.write_text(
+        "let s = segment(point(0, 0), point(1, 0));\n"
+        f"let p = divide(s, {MAX_PARTS + 1});\n"
+        "emit p;\n"
+    )
+    result = invoke("run", str(script))
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert f"parts.sulva:2:9: error: divide() takes at most {MAX_PARTS} parts" in result.stderr
+    assert result.stdout == ""
+
+
+def test_run_reports_a_radicand_past_the_int_string_digit_limit(tmp_path):
+    # the radicand x*x + 1 has 8000 digits; Python converts at most 4300
+    # between int and str by default
+    script = tmp_path / "big.sulva"
+    script.write_text(f"let x = {'9' * 4000};\nlet s = sqrt(add(mul(x, x), 1));\nemit s;\n")
+    result = invoke("run", str(script))
+    assert result.exit_code == 0, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    radicand = "9" * 3999 + "8" + "0" * 3999 + "2"
+    assert result.stdout.startswith(f"s = {'9' * 4000}.")
+    assert result.stdout.endswith(f"(= sqrt({radicand}))\n")
 
 
 @pytest.mark.parametrize(

@@ -307,6 +307,39 @@ def test_nested_division_mul_count(monkeypatch, height, budget):
         er.set_tower_cap(old)
 
 
+def _mul_calls(monkeypatch, compute):
+    """``compute()`` and the recursive ``_mul`` calls it made."""
+    mul = er._mul
+    calls = 0
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(er, "_mul", counting)
+    try:
+        return compute(), calls
+    finally:
+        monkeypatch.undo()
+
+
+def test_power_mul_count(monkeypatch):
+    # the old loop started from a product with one and squared once past
+    # the top bit: 18 calls for x**1 and 31 for x**2, against 13 for x*x
+    x = sqrt(2) + sqrt(3)
+    one, calls = _mul_calls(monkeypatch, lambda: x**1)
+    assert one is x and calls == 0
+    square, calls = _mul_calls(monkeypatch, lambda: x**2)
+    product, product_calls = _mul_calls(monkeypatch, lambda: x * x)
+    assert calls == product_calls and square == product
+    cube, cube_calls = _mul_calls(monkeypatch, lambda: x**3)
+    fourth, fourth_calls = _mul_calls(monkeypatch, lambda: x**4)
+    assert cube_calls > fourth_calls
+    assert cube == product * x and fourth == product * product
+    assert x**0 == 1 and x**-2 * square == 1 and x**7 == fourth * cube
+
+
 # -- enclose ------------------------------------------------------------------
 
 
@@ -493,6 +526,15 @@ def test_to_decimal_past_the_int_string_digit_limit():
     with decimal.localcontext() as context:
         context.prec = 7000
         assert decimal.Decimal(tiny) == decimal.Decimal(2) ** -9000
+
+
+def test_str_past_the_int_string_digit_limit():
+    assert str(from_rational(10**5000 + 1, 3)) == "1" + "0" * 4999 + "1/3"
+    assert str(from_rational(-1, 10**5000)) == "-1/1" + "0" * 5000
+    x = from_rational(10**4000 - 1)
+    radicand = "9" * 3999 + "8" + "0" * 3999 + "2"  # x**2 + 1
+    assert str(sqrt(x * x + 1)) == f"sqrt({radicand})"
+    assert str(Quantity(0, 10**5000)) == "1" + "0" * 5000 + "*pi"
 
 
 # -- structural properties ---------------------------------------------------------

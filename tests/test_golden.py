@@ -1,4 +1,5 @@
 """Byte-for-byte golden outputs: CLI artifacts, demo reports and figures,
+every script-callable rule placed off the origin at a size other than 1,
 repeated ``analysis.full_table`` calls in one process, and a fixed sequence
 of enclosures, signs and decimals of nested radicals up to height 6.
 
@@ -39,6 +40,52 @@ report = sulvascript.render_report(result)
 figures = sulvascript.extract_figures(result)
 if figures:
     (out / f"{path.stem}.svg").write_bytes(svg_render.to_svg(figures).encode())
+"""
+
+# each of the 13 rules a script can call, on a square or circle centered off
+# the origin (one bare-number input, one irrational side), then the two rules
+# whose script names are builtins, run directly at 7/2
+_PLACED_SCRIPT = """
+let s1 = square(point(3/2, -1), 3/4);
+let s2 = square(point(-2, 1/3), sqrt(2));
+let c1 = circle(point(1, 2), 5/3);
+let c2 = circle(point(-3/2, -5/2), 7/4);
+let baud = baudhayana(s1);
+let dani = manava_dani(s2);
+let vang = manava_vangelder(s1);
+let gupta = manava_gupta(s2);
+let doubled = double_diagonal(s2);
+let m16 = manava_16_5(c1);
+let three = classical_3(5/2);
+let jaina = jaina_sqrt10(c2);
+let m7 = manava_7_10(c1);
+let s12 = standard_12_17(c2);
+let exact = inscribed_exact(c1);
+let r13 = rule_13_15(c2);
+let hay = hayashi(c1);
+let w1 = witness(baud, 1);
+let w8 = witness(dani, 8);
+emit baud, dani, vang, gupta, doubled, m16, three, jaina, m7, s12, exact, r13, hay, w1, w8;
+"""
+
+_PLACED_CODE = f"""
+import sys
+from fractions import Fraction
+from pathlib import Path
+from sulvalab import catalog, sulvascript, svg_render
+out = Path(sys.argv[1])
+result = sulvascript.evaluate(sulvascript.parse({_PLACED_SCRIPT!r}).script)
+assert result.ok, result.diagnostics
+lines = [sulvascript.render_report(result)]
+for rule_id in ("hypotenuse", "sqrt2_sulba"):
+    run = catalog.lookup(rule_id).run(Fraction(7, 2))
+    lines.append(
+        f"{{rule_id}}.run(7/2): claimed = {{run.claimed}}, actual = {{run.actual}}, "
+        f"figures = {{len(run.figures)}}\\n"
+    )
+(out / "rules_placed.report.txt").write_bytes("".join(lines).encode())
+figures = sulvascript.extract_figures(result)
+(out / "rules_placed.svg").write_bytes(svg_render.to_svg(figures).encode())
 """
 
 # one process, each precision twice and 128 bits again after 1024: the
@@ -105,6 +152,7 @@ def capture(out: Path) -> None:
         (out / name).write_bytes(_run(["-m", "sulvalab.cli", *args]))
     for script in sorted(DEMOS.glob("*.sulva")):
         _run(["-c", _DEMO_CODE, str(script), str(out)])
+    _run(["-c", _PLACED_CODE, str(out)])
     _run(["-c", _TABLE_CODE, str(out)])
     _run(["-c", _DEEP_CODE, str(out)])
 

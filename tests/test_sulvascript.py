@@ -8,6 +8,7 @@ import pytest
 from sulvalab.sulvascript import (
     MAX_LITERAL_DIGITS,
     MAX_NESTING,
+    MAX_PARTS,
     Call,
     Let,
     Literal,
@@ -362,6 +363,21 @@ def test_literals_up_to_the_bound_evaluate_and_report_exactly():
     assert [v.as_fraction() for _, v in result.emitted] == [value, value * value]
     square = "9" * (MAX_LITERAL_DIGITS - 1) + "8" + "0" * (MAX_LITERAL_DIGITS - 1) + "1"
     assert render_report(result) == f"x = {digits}\ny = {square}\n"
+
+
+def test_divide_past_the_part_bound_is_a_positioned_limit_diagnostic():
+    source = (
+        "let s = segment(point(0, 0), point(1, 1));\n"
+        f"let a = divide(s, {MAX_PARTS});\n"
+        f"let b = count(divide(s, {MAX_PARTS + 1}));\n"
+        "emit a, b;\n"
+    )
+    result = evaluate(parse_ok(source))
+    assert [(d.line, d.column, d.limit, d.message) for d in result.diagnostics] == [
+        (3, 15, True, f"divide() takes at most {MAX_PARTS} parts, got {MAX_PARTS + 1}")
+    ]
+    assert len(result.environment["a"]) == MAX_PARTS + 1
+    assert "b" not in result.environment
 
 
 @pytest.mark.parametrize("depth", [900, MAX_NESTING])

@@ -6,14 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from sulvalab.catalog import circle_from_square_manava_dani, lookup
+from sulvalab.catalog import lookup
 from sulvalab.exactreal import DomainError, from_rational
 from sulvalab.geom import Circle, point
 from sulvalab.svg_render import RenderOptions, render_rule_output, to_svg
 
 
 def dani_scene():
-    out = circle_from_square_manava_dani(1)
+    out = lookup("manava_dani").run(1)
     return list(out.figures) + list(out.witness_points)
 
 
@@ -45,8 +45,8 @@ def test_single_circle_centered():
 def test_byte_identical_across_runs():
     scene = dani_scene()
     first = to_svg(scene).encode()
-    second = to_svg(list(circle_from_square_manava_dani(1).figures)
-                    + list(circle_from_square_manava_dani(1).witness_points))
+    second = to_svg(list(lookup("manava_dani").run(1).figures)
+                    + list(lookup("manava_dani").run(1).witness_points))
     assert first == second.encode()
 
 
