@@ -2,8 +2,8 @@
 
 Exit codes: 0 when everything succeeded and all assertions hold, 1 for
 assertion failures or analysis tolerance failures, 2 for usage and I/O
-errors (unknown rule ids, unreadable files, bad flag values, scripts
-nested past ``sulvascript.MAX_NESTING``).  Standard output carries only
+errors (unknown rule ids, unreadable files, bad flag values, scripts past
+a ``sulvascript.MAX_*`` bound).  Standard output carries only
 the requested artifact; diagnostics go to stderr.
 """
 

@@ -14,7 +14,9 @@ constructible coefficients; circle areas and circumferences live here.
 
 An :class:`Interval` is a certified enclosure with arbitrary-precision
 dyadic endpoints; every operation rounds outward, so a reported interval
-always contains the true real value.
+always contains the true real value.  :func:`enclose` reports the cell of a
+fixed dyadic grid that holds the value, so its endpoints are a function of
+the value and the precision.
 
 pi is shipped as a hard-coded 1538-bit mantissa (the binary expansion of
 pi truncated below 2**-1536).  The leading hex digits 3.243f6a8885a308d...
@@ -22,17 +24,15 @@ match the published expansion, and the test suite cross-checks the full
 constant against an independent high-precision computation.
 
 All values are immutable in what they denote, and arithmetic, signs,
-comparisons and decimals depend on their arguments alone.  Two kinds of
-state are kept outside the values, though.  The tower cap
-(:func:`set_tower_cap`) and the registry of towers are process state: every
-new square root reads the cap, and a tower opened by one call is reused by
-all later ones.  Each value also memoizes its best enclosure, and a fresh
-enclosure is intersected with that memo, so the endpoints :func:`enclose`
-returns are certified and nested but depend on the precisions the process
-requested before.  Last, a per-tower root memo keeps the square root of
-each radicand's enclosure at the current working precision, reused only
-for an equal enclosure at equal precision; a root is a function of those
-two, so this memo changes speed, never bytes.
+comparisons, enclosures and decimals depend on their arguments alone.  The
+tower cap (:func:`set_tower_cap`) and the registry of towers are process
+state: every new square root reads the cap, and a tower opened by one call
+is reused by all later ones.  The memos are pure caches: they change
+speed, never bytes.  Each value memoizes its latest working enclosure, and
+arithmetic shares subtrees (and so their memos) between values; a
+per-tower root memo keeps the square root of each radicand's enclosure at
+the current working precision, reused only for an equal enclosure at
+equal precision.
 """
 
 from __future__ import annotations
@@ -349,6 +349,10 @@ def _riv_width_ok(lo: Dyadic, hi: Dyadic, precision_bits: int) -> bool:
 
 _T = TypeVar("_T")
 
+# working bits past which a pi-quantity's refinement stops: past the shipped
+# pi, more bits no longer narrow its enclosures
+_PI_REFINE_CAP = 4096
+
 
 def _refine(
     encloser: Callable[[int], _Raw],
@@ -389,15 +393,70 @@ def _interval_sign(lo: Dyadic, hi: Dyadic, bits: int) -> Optional[int]:
     return None
 
 
-def _certified(encloser: Callable[[int], _Raw], precision_bits: int) -> Interval:
-    """The first enclosure from ``precision_bits + 8`` bits up that is tight."""
+def _grid_index(v: Dyadic, precision_bits: int, up: bool) -> tuple[int, int]:
+    """``(k, step)`` of the grid point ``k * 2**step`` of precision ``p`` next
+    to ``v``: the least one >= v when ``up``, else the greatest one <= v.
+
+    The grid spacing is ``2**(E + 1 - p)`` where ``E = max(0, floor(log2|v|))``.
+    Every power of two from 1 up is a grid point, so the spacing changes
+    only at grid points, and the grid of ``p + 1`` holds that of ``p``.
+    """
+    man, exp = v
+    step = max(0, man.bit_length() - 1 + exp) + 1 - precision_bits
+    if exp >= step:
+        return man << (exp - step), step
+    shift = step - exp
+    return (-((-man) >> shift) if up else man >> shift), step
+
+
+def _grid_cell(
+    encloser: Callable[[int], _Raw],
+    precision_bits: int,
+    sign_at: Callable[[Dyadic], int],
+    has_pi: bool,
+) -> Interval:
+    """The grid cell of precision ``precision_bits`` that holds a value.
+
+    ``[g, g]`` when the value is the grid point ``g``, else the closed cell
+    between the two grid points around it: a function of the value and the
+    precision alone, whatever enclosures the memos hand out.  Enclosures
+    refine from ``precision_bits + 16`` bits until one meets at most one grid
+    point; ``sign_at(g)``, the exact sign of the value minus ``g``, then
+    settles on which side of that point the value lies.  For a value with a
+    pi part, the shipped pi bounds the precision, and a refinement that it
+    keeps from converging raises :class:`CapacityError`.
+    """
+    p = precision_bits
+    if p < 4:
+        raise DomainError("precision_bits must be at least 4")
+    cap, overflow = None, ""
+    if has_pi:
+        if p > PI_PRECISION_CAP - 16:
+            raise CapacityError(
+                f"pi-quantities cannot be enclosed beyond {PI_PRECISION_CAP - 16} bits"
+            )
+        cap = _PI_REFINE_CAP
+        overflow = "cannot enclose quantity within the shipped pi precision"
 
     def decide(lo: Dyadic, hi: Dyadic, bits: int) -> Optional[Interval]:
-        if _riv_width_ok(lo, hi, precision_bits):
-            return Interval(lo, hi, precision_bits)
-        return None
+        first, first_step = _grid_index(lo, p, True)
+        last, last_step = _grid_index(hi, p, False)
+        step = min(first_step, last_step)
+        first_aligned = first << (first_step - step)
+        last_aligned = last << (last_step - step)
+        if last_aligned < first_aligned:  # no grid point inside
+            return _cell(Dyadic.of(last, last_step), Dyadic.of(first, first_step), p)
+        if first_aligned < last_aligned:
+            return None
+        g = Dyadic.of(first, first_step)
+        side = 0 if lo == hi else sign_at(g)
+        if side > 0:
+            return _cell(g, Dyadic.of(*_grid_index(hi, p, True)), p)
+        if side < 0:
+            return _cell(Dyadic.of(*_grid_index(lo, p, False)), g, p)
+        return _cell(g, g, p)
 
-    return _refine(encloser, precision_bits + 8, decide)
+    return _refine(encloser, p + 16, decide, cap, overflow)
 
 
 @dataclass(frozen=True, slots=True)
@@ -443,6 +502,16 @@ class Interval:
         lo = _decimal_floor(self.lo.as_fraction(), 12)
         hi = _decimal_ceil(self.hi.as_fraction(), 12)
         return f"[{lo}, {hi}]"
+
+
+def _cell(lo: Dyadic, hi: Dyadic, precision_bits: int) -> Interval:
+    """An :class:`Interval` built without the constructor's checks: a grid
+    cell of ``precision_bits`` meets them by construction."""
+    cell = object.__new__(Interval)
+    object.__setattr__(cell, "lo", lo)
+    object.__setattr__(cell, "hi", hi)
+    object.__setattr__(cell, "precision_bits", precision_bits)
+    return cell
 
 
 # --------------------------------------------------------------------------
@@ -715,14 +784,15 @@ class ConstructibleReal:
     # -- enclosures ----------------------------------------------------------
 
     def _interval_raw(self, bits: int) -> _Raw:
-        """Raw enclosure at ~bits working precision, memoized monotonically.
+        """Raw enclosure at ~bits working precision, memoized.
 
-        Fresh results are intersected with the cached best enclosure, so
-        later calls can only tighten; this is what makes nested requests
-        return nested intervals.  The enclosure of the tower's root comes
-        from the per-tower root memo when the radicand's enclosure and
-        ``bits`` are the same as when it was stored; that memo changes speed,
-        never bytes.
+        The memo is returned while it is tight enough for ``bits`` and
+        replaced by a fresh enclosure otherwise.  The enclosure of the
+        tower's root comes from the per-tower root memo when the radicand's
+        enclosure and ``bits`` are the same as when it was stored.  Both
+        memos are pure caches: every answer built on a raw enclosure (a
+        sign, a grid cell, a decimal) is decided exactly, so it does not
+        depend on which certified enclosure the memos hand out.
         """
         cached = self._iv
         if cached is not None and _riv_width_ok(cached[0], cached[1], bits):
@@ -736,10 +806,6 @@ class ConstructibleReal:
             b = self.b._interval_raw(bits)
             d = self.tower.radicand._interval_raw(bits)
             fresh = _riv_add_mul(a, b, _tower_root(self.tower, d, bits), bits)
-        if cached is not None:
-            lo = fresh[0] if cached[0] < fresh[0] else cached[0]
-            hi = fresh[1] if fresh[1] < cached[1] else cached[1]
-            fresh = (lo, hi)
         self._iv = fresh
         return fresh
 
@@ -897,6 +963,11 @@ def _add(x: ConstructibleReal, y: ConstructibleReal) -> ConstructibleReal:
     if x.tower is None and y.tower is None:
         assert x.frac is not None and y.frac is not None
         return _rational(x.frac + y.frac)
+    # share the other operand, memo and all, instead of copying its tree
+    if y.is_zero():
+        return x
+    if x.is_zero():
+        return y
     x, y = _common(x, y)
     tower = _deeper(x, y)
     assert tower is not None
@@ -1093,10 +1164,12 @@ def structurally_equal(x: ConstructibleReal, y: ConstructibleReal) -> bool:
 
 
 def enclose(value: Coercible, precision_bits: int) -> Interval:
-    """Certified interval containing the value, at relative width 2**(1-p)."""
-    if precision_bits < 4:
-        raise DomainError("precision_bits must be at least 4")
-    return _certified(constructible(value)._interval_raw, precision_bits)
+    """Certified interval containing the value, at relative width 2**(1-p):
+    the cell of a fixed dyadic grid that holds it (see :func:`_grid_cell`)."""
+    x = constructible(value)
+    return _grid_cell(
+        x._interval_raw, precision_bits, lambda g: (x - g.as_fraction()).sign(), False
+    )
 
 
 # --------------------------------------------------------------------------
@@ -1207,7 +1280,7 @@ class Quantity:
             self._interval_raw,
             32,
             _interval_sign,
-            4096,
+            _PI_REFINE_CAP,
             "cannot separate quantity from zero within the shipped pi precision",
             stuck,
         )
@@ -1244,14 +1317,12 @@ class Quantity:
         return _riv_add_mul(base, coef, _riv_pi(bits), bits)
 
     def enclose(self, precision_bits: int) -> Interval:
-        if precision_bits < 4:
-            raise DomainError("precision_bits must be at least 4")
-        if not self.c1.is_zero() and precision_bits > PI_PRECISION_CAP - 16:
-            raise CapacityError(
-                f"pi-quantities cannot be enclosed beyond "
-                f"{PI_PRECISION_CAP - 16} bits"
-            )
-        return _certified(self._interval_raw, precision_bits)
+        return _grid_cell(
+            self._interval_raw,
+            precision_bits,
+            lambda g: (self - g.as_fraction()).sign(),
+            not self.c1.is_zero(),
+        )
 
     # -- rendering ----------------------------------------------------------------
 
@@ -1280,17 +1351,29 @@ PI = Quantity(0, 1)
 
 
 def enclose_percent(num: Quantity, den: Quantity, precision_bits: int) -> Interval:
-    """Certified interval containing ``100*num/den``, at relative width 2**(1-p)."""
-    if precision_bits < 4:
-        raise DomainError("precision_bits must be at least 4")
+    """The grid cell of ``precision_bits`` holding ``100*num/den``."""
     hundred = _riv_from_fraction(Fraction(100), 16)
+    # a nonzero den has enclosures apart from zero from some precision on;
+    # with a pi part, only while the shipped pi still narrows them
+    den_cap = None if den.c1.is_zero() else _PI_REFINE_CAP
+    overflow = "cannot separate the denominator from zero within the shipped pi"
+
+    def apart(lo: Dyadic, hi: Dyadic, bits: int) -> Optional[_Raw]:
+        if lo.man == 0 == hi.man:  # a certified [0, 0]
+            raise DomainError("division by zero")
+        return (lo, hi) if lo.man > 0 or hi.man < 0 else None
 
     def percent(bits: int) -> _Raw:
-        # x100 after the division: scaling the numerator first rounds differently
-        quotient = _riv_div(num._interval_raw(bits), den._interval_raw(bits), bits)
+        d = _refine(den._interval_raw, bits, apart, den_cap, overflow)
+        quotient = _riv_div(num._interval_raw(bits), d, bits)
         return _riv_mul(quotient, hundred, bits)
 
-    return _certified(percent, precision_bits)
+    def sign_at(g: Dyadic) -> int:
+        # 100*num/den - g has the sign of (100*num - g*den)*den
+        return (num.scale(100) - den.scale(g.as_fraction())).sign() * den.sign()
+
+    has_pi = not (num.c1.is_zero() and den.c1.is_zero())
+    return _grid_cell(percent, precision_bits, sign_at, has_pi)
 
 
 # --------------------------------------------------------------------------

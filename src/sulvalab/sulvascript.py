@@ -26,9 +26,10 @@ rationals; a decimal literal denotes its exact finite value, never a
 float.  Catalog rules are callable by id (a figure argument recenters the
 construction on that figure), so scripts double as executable notes on
 each rule.  An expression nests at most ``MAX_NESTING`` levels of ``-``
-and calls, a numeric literal has at most ``MAX_LITERAL_DIGITS`` digits,
-and ``divide`` cuts a segment into at most ``MAX_PARTS`` parts; input past
-any of these bounds gets a positioned diagnostic marked ``limit``.
+and calls, a numeric literal has at most ``MAX_LITERAL_DIGITS`` digits, a
+number a call returns has rational parts of at most ``MAX_VALUE_DIGITS``
+digits, and ``divide`` cuts a segment into at most ``MAX_PARTS`` parts;
+input past any of these bounds gets a positioned diagnostic marked ``limit``.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ __all__ = [
     "MAX_LITERAL_DIGITS",
     "MAX_NESTING",
     "MAX_PARTS",
+    "MAX_VALUE_DIGITS",
     "Diagnostic",
     "EvalResult",
     "ParseResult",
@@ -98,6 +100,10 @@ MAX_NESTING = 1000
 # digits one numeric literal may have; Python converts at most 4300 digits
 # between str and int by default
 MAX_LITERAL_DIGITS = 4000
+# digits of each numerator and denominator in a number a call returns; each
+# mul() can double them, so a few lines would otherwise exhaust memory
+MAX_VALUE_DIGITS = 20_000
+_VALUE_BOUND = 10**MAX_VALUE_DIGITS
 # parts one divide() call may cut a segment into; time and memory grow with
 # the count
 MAX_PARTS = 10_000
@@ -655,6 +661,18 @@ def _numeric_binop(op: str, a: Value, b: Value) -> Value:
     return result
 
 
+def _too_long(value: Union[ConstructibleReal, Quantity]) -> bool:
+    """Whether a rational part of the number has more than MAX_VALUE_DIGITS digits."""
+    pending = [value.c0, value.c1] if isinstance(value, Quantity) else [value]
+    while pending:
+        x = pending.pop()
+        if x.tower is not None:
+            pending += (x.a, x.b)
+        elif max(abs(x.frac.numerator), x.frac.denominator) >= _VALUE_BOUND:
+            return True
+    return False
+
+
 def _rule_input(rule: catalog.Rule, value: Value) -> tuple[ConstructibleReal, Point]:
     origin = Point(constructible(0), constructible(0))
     if isinstance(value, (ConstructibleReal, Quantity)):
@@ -851,7 +869,7 @@ class _Evaluator:
 
     def eval_call(self, expr: Call, args: list) -> Value:
         try:
-            return _VOCABULARY[expr.name][1](*args)
+            value = _VOCABULARY[expr.name][1](*args)
         except _EvalError as exc:
             raise _EvalAbort(
                 Diagnostic("error", exc.message, expr.line, expr.column, exc.limit)
@@ -860,6 +878,13 @@ class _Evaluator:
             raise _EvalAbort(
                 Diagnostic("error", f"{expr.name}(): {exc}", expr.line, expr.column)
             ) from None
+        if isinstance(value, (ConstructibleReal, Quantity)) and _too_long(value):
+            message = (
+                f"{expr.name}() gives a number longer than {MAX_VALUE_DIGITS} digits"
+            )
+            diagnostic = Diagnostic("error", message, expr.line, expr.column, True)
+            raise _EvalAbort(diagnostic)
+        return value
 
     def run(self, script: Script) -> EvalResult:
         for stmt in script.statements:

@@ -14,6 +14,13 @@ def mpf_fraction(value) -> Fraction:
     return -magnitude if sign else magnitude
 
 
+def mp_value(x):
+    """The value of a ConstructibleReal's tree in mpmath, canonical or not."""
+    if x.tower is None:
+        return mpmath.mpf(x.frac.numerator) / x.frac.denominator
+    return mp_value(x.a) + mp_value(x.b) * mpmath.sqrt(mp_value(x.tower.radicand))
+
+
 def oracle(expr, prec: int = 1000) -> Fraction:
     """Evaluate a thunk under ``prec`` working bits and freeze the result."""
     with mpmath.workprec(prec):

@@ -18,7 +18,13 @@ from sulvalab.analysis import (
     reports_to_json,
 )
 from sulvalab.catalog import CATALOG
-from sulvalab.exactreal import DomainError, enclose, sqrt
+from sulvalab.exactreal import (
+    PI_PRECISION_CAP,
+    CapacityError,
+    DomainError,
+    enclose,
+    sqrt,
+)
 
 
 from oracle_util import oracle as oracle_percent
@@ -154,6 +160,13 @@ def test_error_monotone_refinement():
         w128 = relative_error(rule_id, 128).width()
         w256 = relative_error(rule_id, 256).width()
         assert w256 <= w128 <= w64
+
+
+def test_relative_error_past_the_shipped_pi_is_a_capacity_error():
+    # the true value of a circle rule is a pi-quantity
+    assert relative_error("manava_dani", PI_PRECISION_CAP - 16).width() > 0
+    with pytest.raises(CapacityError):
+        relative_error("manava_dani", 1600)
 
 
 # -- comparisons ------------------------------------------------------------------

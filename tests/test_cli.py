@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 from sulvalab.catalog import CATALOG
 from sulvalab.cli import main
 from sulvalab.exactreal import set_tower_cap, tower_cap
-from sulvalab.sulvascript import MAX_PARTS
+from sulvalab.sulvascript import MAX_PARTS, MAX_VALUE_DIGITS
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -173,6 +174,30 @@ def test_run_divide_past_the_part_bound_exits_2(tmp_path):
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert f"parts.sulva:2:9: error: divide() takes at most {MAX_PARTS} parts" in result.stderr
     assert result.stdout == ""
+
+
+def test_run_repeated_squaring_stops_at_the_value_bound(tmp_path):
+    # each mul() doubles the digits: unbounded, the last lines would need
+    # millions of digits
+    lines = [f"let x0 = {'7' * 3000};"]
+    lines += [f"let x{i} = mul(x{i - 1}, x{i - 1});" for i in range(1, 11)]
+    script = tmp_path / "squares.sulva"
+    script.write_text("\n".join(lines + ["emit x10;"]) + "\n")
+    began = time.perf_counter()
+    result = invoke("run", str(script))
+    assert time.perf_counter() - began < 10
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    message = f"mul() gives a number longer than {MAX_VALUE_DIGITS} digits"
+    assert result.stderr == f"{script}:4:10: error: {message}\n"
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("script", sorted(DEMOS.glob("*.sulva")), ids=lambda p: p.stem)
+def test_run_every_demo_passes(script):
+    result = invoke("run", str(script))
+    assert result.exit_code == 0, result.output
+    assert result.stdout
 
 
 def test_run_reports_a_radicand_past_the_int_string_digit_limit(tmp_path):

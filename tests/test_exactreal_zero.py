@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from sulvalab import exactreal as er
 from sulvalab.exactreal import sqrt
 
+from oracle_util import mp_value
+
 ORACLE_BITS = 800
 
 # -- the tower invariant -------------------------------------------------------------
@@ -106,18 +108,11 @@ def test_deep_tower_shape_adjoins_only_non_squares():
 # -- sign against two independent zero oracles -------------------------------------
 
 
-def _mp_value(x: er.ConstructibleReal):
-    """The value of ``x``'s tree in mpmath, canonical or not."""
-    if x.tower is None:
-        return mpmath.mpf(x.frac.numerator) / x.frac.denominator
-    return _mp_value(x.a) + _mp_value(x.b) * mpmath.sqrt(_mp_value(x.tower.radicand))
-
-
 def _assert_sign_matches_oracles(x: er.ConstructibleReal) -> None:
     s = x.sign()
     assert (s == 0) == er._norm_is_zero(x), x
     with mpmath.workprec(ORACLE_BITS):
-        reference = _mp_value(x)
+        reference = mp_value(x)
         if s == 0:
             assert abs(reference) < mpmath.mpf(2) ** (100 - ORACLE_BITS)
         else:

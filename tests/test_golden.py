@@ -3,14 +3,17 @@ every script-callable rule placed off the origin at a size other than 1,
 repeated ``analysis.full_table`` calls in one process, and a fixed sequence
 of enclosures, signs and decimals of nested radicals up to height 6.
 
-Each artifact is produced in a fresh interpreter, because enclosure memos
-carry over between calls in one process and can change later bytes.  To
-rewrite the files after an intended output change, run
-``PYTHONPATH=src python tests/test_golden.py``.
+Each artifact group is produced in a fresh interpreter.  Memos are pure
+caches, so repeated calls in one process give the same bytes; the
+``full_table`` sequence checks that.  To rewrite files after an intended
+output change, run ``PYTHONPATH=src python tests/test_golden.py [NAME ...]``:
+with names it rewrites only those artifacts, without any it rewrites all.
 """
 
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -88,8 +91,8 @@ figures = sulvascript.extract_figures(result)
 (out / "rules_placed.svg").write_bytes(svg_render.to_svg(figures).encode())
 """
 
-# one process, each precision twice and 128 bits again after 1024: the
-# enclosure memos make later tables depend on the earlier ones
+# one process, each precision twice and 128 bits again after 1024: a table
+# depends on its precision alone, not on the tables before it
 _TABLE_CODE = """
 import sys
 from pathlib import Path
@@ -175,5 +178,27 @@ def test_artifact_unchanged(name, captured):
     assert (captured / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
+def test_tables_depend_on_precision_alone():
+    table = {
+        p.name[len("full_table_") :]: p.read_bytes() for p in GOLDEN.glob("full_table_*")
+    }
+    assert table["1_b64.json"] == table["2_b64.json"]
+    assert table["3_b128.json"] == table["4_b128.json"] == table["7_b128.json"]
+    assert table["5_b1024.json"] == table["6_b1024.json"]
+
+
+def rewrite(names: list) -> None:
+    """Rewrite the named golden artifacts, or all of them when none is named."""
+    unknown = sorted(set(names) - {p.name for p in GOLDEN.iterdir()})
+    if unknown:
+        raise SystemExit(f"no golden artifact named {', '.join(unknown)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        capture(out)
+        for path in sorted(out.iterdir()):
+            if not names or path.name in names:
+                shutil.copyfile(path, GOLDEN / path.name)
+
+
 if __name__ == "__main__":
-    capture(GOLDEN)
+    rewrite(sys.argv[1:])

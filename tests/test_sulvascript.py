@@ -9,6 +9,7 @@ from sulvalab.sulvascript import (
     MAX_LITERAL_DIGITS,
     MAX_NESTING,
     MAX_PARTS,
+    MAX_VALUE_DIGITS,
     Call,
     Let,
     Literal,
@@ -363,6 +364,32 @@ def test_literals_up_to_the_bound_evaluate_and_report_exactly():
     assert [v.as_fraction() for _, v in result.emitted] == [value, value * value]
     square = "9" * (MAX_LITERAL_DIGITS - 1) + "8" + "0" * (MAX_LITERAL_DIGITS - 1) + "1"
     assert render_report(result) == f"x = {digits}\ny = {square}\n"
+
+
+@pytest.mark.parametrize(
+    "last, line, column, name",
+    [
+        ("let z = sub(mul(w, y), mul(w, y));", 4, 13, "mul"),  # nested; z would be 0
+        ("let z = div(div(1, w), y);", 4, 9, "div"),  # a denominator
+        ("let q = mul(pi(), w);\nlet z = mul(q, y);", 5, 9, "mul"),  # a pi part
+    ],
+    ids=["nested", "denominator", "pi-part"],
+)
+def test_long_values_are_a_positioned_limit_diagnostic_at_the_call(
+    last, line, column, name
+):
+    # y has 8000 digits and w 16000, within the bound; w*y has 24000
+    source = (
+        f"let x = {'9' * MAX_LITERAL_DIGITS};\n"
+        "let y = mul(x, x);\n"
+        "let w = mul(y, y);\n"
+    )
+    result = evaluate(parse_ok(source + last + "\nemit z;\n"))
+    message = f"{name}() gives a number longer than {MAX_VALUE_DIGITS} digits"
+    assert [(d.line, d.column, d.limit, d.message) for d in result.diagnostics] == [
+        (line, column, True, message)
+    ]
+    assert "w" in result.environment and "z" not in result.environment
 
 
 def test_divide_past_the_part_bound_is_a_positioned_limit_diagnostic():
