@@ -422,9 +422,14 @@ def _grid_cell(
     precision alone, whatever enclosures the memos hand out.  Enclosures
     refine from ``precision_bits + 16`` bits until one meets at most one grid
     point; ``sign_at(g)``, the exact sign of the value minus ``g``, then
-    settles on which side of that point the value lies.  For a value with a
-    pi part, the shipped pi bounds the precision, and a refinement that it
-    keeps from converging raises :class:`CapacityError`.
+    settles on which side of that point the value lies.
+
+    For a value with a pi part, the shipped pi bounds the precision.  When
+    the value lies closer to ``g`` than the shipped pi can tell apart, the
+    answer is the two cells of the grid of ``precision_bits + 1`` around
+    ``g``, once an enclosure meets no other point of that grid; a
+    refinement that the shipped pi keeps from getting there raises
+    :class:`CapacityError`.
     """
     p = precision_bits
     if p < 4:
@@ -438,23 +443,30 @@ def _grid_cell(
         cap = _PI_REFINE_CAP
         overflow = "cannot enclose quantity within the shipped pi precision"
 
+    def grid(v: Dyadic, q: int, up: bool) -> Dyadic:
+        return Dyadic.of(*_grid_index(v, q, up))
+
     def decide(lo: Dyadic, hi: Dyadic, bits: int) -> Optional[Interval]:
         first, first_step = _grid_index(lo, p, True)
         last, last_step = _grid_index(hi, p, False)
         step = min(first_step, last_step)
-        first_aligned = first << (first_step - step)
-        last_aligned = last << (last_step - step)
-        if last_aligned < first_aligned:  # no grid point inside
-            return _cell(Dyadic.of(last, last_step), Dyadic.of(first, first_step), p)
-        if first_aligned < last_aligned:
+        gap = (last << (last_step - step)) - (first << (first_step - step))
+        if gap < 0:  # no grid point inside
+            return Interval(Dyadic.of(last, last_step), Dyadic.of(first, first_step), p)
+        if gap > 0:
             return None
         g = Dyadic.of(first, first_step)
-        side = 0 if lo == hi else sign_at(g)
+        try:
+            side = 0 if lo == hi else sign_at(g)
+        except CapacityError:
+            if grid(lo, p + 1, True) != grid(hi, p + 1, False):
+                return None
+            return Interval(grid(lo, p + 1, False), grid(hi, p + 1, True), p)
         if side > 0:
-            return _cell(g, Dyadic.of(*_grid_index(hi, p, True)), p)
+            return Interval(g, grid(hi, p, True), p)
         if side < 0:
-            return _cell(Dyadic.of(*_grid_index(lo, p, False)), g, p)
-        return _cell(g, g, p)
+            return Interval(grid(lo, p, False), g, p)
+        return Interval(g, g, p)
 
     return _refine(encloser, p + 16, decide, cap, overflow)
 
@@ -483,7 +495,10 @@ class Interval:
         return self.hi.as_fraction() - self.lo.as_fraction()
 
     def midpoint(self) -> Fraction:
-        return (self.lo.as_fraction() + self.hi.as_fraction()) / 2
+        (lo_man, lo_exp), (hi_man, hi_exp) = self.lo, self.hi
+        exp = min(lo_exp, hi_exp)
+        total = (lo_man << (lo_exp - exp)) + (hi_man << (hi_exp - exp))
+        return Dyadic.of(total, exp - 1).as_fraction()
 
     def contains(self, value: Union[RationalLike, Dyadic]) -> bool:
         f = value.as_fraction() if isinstance(value, Dyadic) else Fraction(value)
@@ -502,16 +517,6 @@ class Interval:
         lo = _decimal_floor(self.lo.as_fraction(), 12)
         hi = _decimal_ceil(self.hi.as_fraction(), 12)
         return f"[{lo}, {hi}]"
-
-
-def _cell(lo: Dyadic, hi: Dyadic, precision_bits: int) -> Interval:
-    """An :class:`Interval` built without the constructor's checks: a grid
-    cell of ``precision_bits`` meets them by construction."""
-    cell = object.__new__(Interval)
-    object.__setattr__(cell, "lo", lo)
-    object.__setattr__(cell, "hi", hi)
-    object.__setattr__(cell, "precision_bits", precision_bits)
-    return cell
 
 
 # --------------------------------------------------------------------------

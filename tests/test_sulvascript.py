@@ -372,8 +372,11 @@ def test_literals_up_to_the_bound_evaluate_and_report_exactly():
         ("let z = sub(mul(w, y), mul(w, y));", 4, 13, "mul"),  # nested; z would be 0
         ("let z = div(div(1, w), y);", 4, 9, "div"),  # a denominator
         ("let q = mul(pi(), w);\nlet z = mul(q, y);", 5, 9, "mul"),  # a pi part
+        ("let s = square(point(0, 0), w);\nlet z = area(s);", 5, 9, "area"),
+        ("let z = distance2(point(w, 0), point(0, 0));", 4, 9, "distance2"),
+        ("let z = claimed(baudhayana(w));", 4, 17, "baudhayana"),  # an area
     ],
-    ids=["nested", "denominator", "pi-part"],
+    ids=["nested", "denominator", "pi-part", "area", "distance2", "rule"],
 )
 def test_long_values_are_a_positioned_limit_diagnostic_at_the_call(
     last, line, column, name

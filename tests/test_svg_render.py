@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from sulvalab.catalog import lookup
-from sulvalab.exactreal import DomainError, from_rational
+from sulvalab.exactreal import DomainError, enclose, from_rational, sqrt
 from sulvalab.geom import Circle, point
-from sulvalab.svg_render import RenderOptions, render_rule_output, to_svg
+from sulvalab.svg_render import RenderOptions, _approx, render_rule_output, to_svg
 
 
 def dani_scene():
@@ -48,6 +48,13 @@ def test_byte_identical_across_runs():
     second = to_svg(list(lookup("manava_dani").run(1).figures)
                     + list(lookup("manava_dani").run(1).witness_points))
     assert first == second.encode()
+
+
+def test_coordinates_do_not_depend_on_earlier_enclosures():
+    value = sqrt(2) + sqrt(3) / 7
+    before = _approx(value)
+    enclose(value, 1024)  # leaves a tighter memo than the 64 bits used here
+    assert _approx(value) == before == enclose(value, 64).midpoint()
 
 
 def test_all_coordinates_inside_canvas():
