@@ -18,21 +18,23 @@ always contains the true real value.  :func:`enclose` reports the cell of a
 fixed dyadic grid that holds the value, so its endpoints are a function of
 the value and the precision.
 
-pi is shipped as a hard-coded 1538-bit mantissa (the binary expansion of
-pi truncated below 2**-1536).  The leading hex digits 3.243f6a8885a308d...
-match the published expansion, and the test suite cross-checks the full
-constant against an independent high-precision computation.
+pi is computed on demand from Machin's formula
+``pi = 16*atan(1/5) - 4*atan(1/239)``, summed in integers with a counted
+error bound, and kept as the floor of ``pi * 2**n`` for the widest ``n``
+asked for so far.  Since pi is transcendental, ``c0 + c1*pi`` with
+``c1 != 0`` is neither zero nor a dyadic rational, so its sign, its grid
+cell and its decimals are decided by refinement alone.
 
 All values are immutable in what they denote, and arithmetic, signs,
 comparisons, enclosures and decimals depend on their arguments alone.  The
 tower cap (:func:`set_tower_cap`) and the registry of towers are process
 state: every new square root reads the cap, and a tower opened by one call
-is reused by all later ones.  The memos are pure caches: they change
-speed, never bytes.  Each value memoizes its latest working enclosure, and
-arithmetic shares subtrees (and so their memos) between values; a
-per-tower root memo keeps the square root of each radicand's enclosure at
-the current working precision, reused only for an equal enclosure at
-equal precision.
+is reused by all later ones.  The memos, pi's among them, are pure
+caches: they change speed, never bytes.  Each value memoizes its latest
+working enclosure, and arithmetic shares subtrees (and so their memos)
+between values; a per-tower root memo keeps the square root of each
+radicand's enclosure at the current working precision, reused only for an
+equal enclosure at equal precision.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ __all__ = [
     "Dyadic",
     "Interval",
     "PI",
-    "PI_PRECISION_CAP",
     "Quantity",
     "UnsupportedQuantityError",
     "constructible",
@@ -76,7 +77,7 @@ class DomainError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """A configured resource bound (tower height, pi precision) was hit."""
+    """The configured tower height cap was hit."""
 
 
 class UnsupportedQuantityError(TypeError):
@@ -349,33 +350,18 @@ def _riv_width_ok(lo: Dyadic, hi: Dyadic, precision_bits: int) -> bool:
 
 _T = TypeVar("_T")
 
-# working bits past which a pi-quantity's refinement stops: past the shipped
-# pi, more bits no longer narrow its enclosures
-_PI_REFINE_CAP = 4096
-
 
 def _refine(
     encloser: Callable[[int], _Raw],
     bits: int,
     decide: Callable[[Dyadic, Dyadic, int], Optional[_T]],
-    cap: Optional[int] = None,
-    overflow: str = "",
-    stuck: Optional[Callable[[Dyadic, Dyadic, int], bool]] = None,
 ) -> _T:
-    """Enclose at ``bits``, doubling it until ``decide(lo, hi, bits)`` answers.
-
-    An undecided round past ``cap`` bits, or one for which
-    ``stuck(lo, hi, bits)`` proves that no later round can answer, raises
-    :class:`CapacityError` with the message ``overflow`` instead of
-    doubling again.
-    """
+    """Enclose at ``bits``, doubling it until ``decide(lo, hi, bits)`` answers."""
     while True:
         lo, hi = encloser(bits)
         answer = decide(lo, hi, bits)
         if answer is not None:
             return answer
-        if (cap is not None and bits > cap) or (stuck is not None and stuck(lo, hi, bits)):
-            raise CapacityError(overflow)
         bits *= 2
 
 
@@ -413,7 +399,6 @@ def _grid_cell(
     encloser: Callable[[int], _Raw],
     precision_bits: int,
     sign_at: Callable[[Dyadic], int],
-    has_pi: bool,
 ) -> Interval:
     """The grid cell of precision ``precision_bits`` that holds a value.
 
@@ -422,29 +407,12 @@ def _grid_cell(
     precision alone, whatever enclosures the memos hand out.  Enclosures
     refine from ``precision_bits + 16`` bits until one meets at most one grid
     point; ``sign_at(g)``, the exact sign of the value minus ``g``, then
-    settles on which side of that point the value lies.
-
-    For a value with a pi part, the shipped pi bounds the precision.  When
-    the value lies closer to ``g`` than the shipped pi can tell apart, the
-    answer is the two cells of the grid of ``precision_bits + 1`` around
-    ``g``, once an enclosure meets no other point of that grid; a
-    refinement that the shipped pi keeps from getting there raises
-    :class:`CapacityError`.
+    settles on which side of that point the value lies.  Both steps end for
+    every value: its enclosures shrink to it, and exact signs terminate.
     """
     p = precision_bits
     if p < 4:
         raise DomainError("precision_bits must be at least 4")
-    cap, overflow = None, ""
-    if has_pi:
-        if p > PI_PRECISION_CAP - 16:
-            raise CapacityError(
-                f"pi-quantities cannot be enclosed beyond {PI_PRECISION_CAP - 16} bits"
-            )
-        cap = _PI_REFINE_CAP
-        overflow = "cannot enclose quantity within the shipped pi precision"
-
-    def grid(v: Dyadic, q: int, up: bool) -> Dyadic:
-        return Dyadic.of(*_grid_index(v, q, up))
 
     def decide(lo: Dyadic, hi: Dyadic, bits: int) -> Optional[Interval]:
         first, first_step = _grid_index(lo, p, True)
@@ -456,19 +424,14 @@ def _grid_cell(
         if gap > 0:
             return None
         g = Dyadic.of(first, first_step)
-        try:
-            side = 0 if lo == hi else sign_at(g)
-        except CapacityError:
-            if grid(lo, p + 1, True) != grid(hi, p + 1, False):
-                return None
-            return Interval(grid(lo, p + 1, False), grid(hi, p + 1, True), p)
+        side = 0 if lo == hi else sign_at(g)
         if side > 0:
-            return Interval(g, grid(hi, p, True), p)
+            return Interval(g, Dyadic.of(*_grid_index(hi, p, True)), p)
         if side < 0:
-            return Interval(grid(lo, p, False), g, p)
+            return Interval(Dyadic.of(*_grid_index(lo, p, False)), g, p)
         return Interval(g, g, p)
 
-    return _refine(encloser, p + 16, decide, cap, overflow)
+    return _refine(encloser, p + 16, decide)
 
 
 @dataclass(frozen=True, slots=True)
@@ -520,39 +483,69 @@ class Interval:
 
 
 # --------------------------------------------------------------------------
-# shipped pi constant
+# pi on demand
 
-_PI_HEX = (
-    "3243f6a8885a308d313198a2e03707344a4093822299f31d0082efa98ec4e6c8"
-    "9452821e638d01377be5466cf34e90c6cc0ac29b7c97c50dd3f84d5b5b547091"
-    "79216d5d98979fb1bd1310ba698dfb5ac2ffd72dbd01adfb7b8e1afed6a267e9"
-    "6ba7c9045f12c7f9924a19947b3916cf70801f2e2858efc16636920d871574e6"
-    "9a458fea3f4933d7e0d95748f728eb658718bcd5882154aee7b54a41dc25a59b"
-    "59c30d5392af26013c5d1b023286085f0ca417918b8db38ef8e79dcb0603a180"
-    "e"
-)
-_PI_MAN = int(_PI_HEX, 16)
-_PI_EXP = -1536
-# pi lies strictly between _PI_MAN*2**-1536 and (_PI_MAN + 1)*2**-1536.
 
-PI_PRECISION_CAP = 1520
+def _atan_inv(x: int, one: int) -> tuple[int, int]:
+    """``(s, e)`` with ``|s - one*atan(1/x)| < e``, for integers ``x, one >= 1``.
+
+    Sums ``atan(1/x) = sum((-1)**k / ((2k+1) * x**(2k+1)))`` in integers:
+    ``power`` is exactly ``one // x**(2k+1)``, so each term is truncated by
+    less than one unit.  Once ``power`` is 0, the alternating tail is below
+    its first term, which is below one unit.
+    """
+    total, power, k, x2 = 0, one // x, 0, x * x
+    while power:
+        term = power // (2 * k + 1)
+        total += -term if k & 1 else term
+        power //= x2
+        k += 1
+    return total, k + 1
+
+
+def _pi_floor(n: int) -> int:
+    """``floor(pi * 2**n)``, by Machin's ``pi = 16*atan(1/5) - 4*atan(1/239)``.
+
+    At ``one = 2**(n + guard)`` the formula brackets ``pi * one`` within
+    ``m +- e``; the floor is certain once both ends of the bracket share it.
+    """
+    guard = n.bit_length() + 16  # e is about 3.7 * (n + guard) + 40
+    while True:
+        s5, e5 = _atan_inv(5, 1 << (n + guard))
+        s239, e239 = _atan_inv(239, 1 << (n + guard))
+        m, e = 16 * s5 - 4 * s239, 16 * e5 + 4 * e239
+        if (m - e) >> guard == (m + e) >> guard:
+            return (m - e) >> guard
+        guard *= 2
+
+
+# The pi memo (m, n): m is floor(pi * 2**n) for the widest n asked for so
+# far.  One tuple, so that no reader pairs m and n of two widenings.
+_pi_memo = (3, 0)
 
 
 def _riv_pi(bits: int) -> _Raw:
-    lo = _round_floor(_PI_MAN, _PI_EXP, bits)
-    hi = _round_ceil(_PI_MAN + 1, _PI_EXP, bits)
-    return lo, hi
+    """``[f, f + ulp]`` for the ``bits``-bit floor ``f`` of pi: the tightest
+    ``bits``-bit enclosure.  A memo too narrow for ``bits`` at least doubles;
+    one shift of it serves both ends, as pi is not dyadic, and reads only its
+    top ``bits`` bits.
+    """
+    global _pi_memo
+    man, n = _pi_memo
+    shift = man.bit_length() - bits
+    if shift < 0:
+        n = max(bits - 2, 2 * n)  # pi has two integer bits
+        man = _pi_floor(n)
+        _pi_memo = man, n
+        shift = man.bit_length() - bits
+    man, exp = man >> shift, shift - n
+    return Dyadic.of(man, exp), Dyadic.of(man + 1, exp)
 
 
 def pi_enclosure(precision_bits: int) -> Interval:
-    """Certified enclosure of pi, truncated from the shipped constant."""
+    """Certified enclosure of pi, at any precision."""
     if precision_bits < 1:
         raise DomainError("precision_bits must be positive")
-    if precision_bits > PI_PRECISION_CAP:
-        raise CapacityError(
-            f"pi is shipped to {PI_PRECISION_CAP} bits; "
-            f"{precision_bits} requested"
-        )
     lo, hi = _riv_pi(precision_bits + 4)
     return Interval(lo, hi, precision_bits)
 
@@ -1172,9 +1165,7 @@ def enclose(value: Coercible, precision_bits: int) -> Interval:
     """Certified interval containing the value, at relative width 2**(1-p):
     the cell of a fixed dyadic grid that holds it (see :func:`_grid_cell`)."""
     x = constructible(value)
-    return _grid_cell(
-        x._interval_raw, precision_bits, lambda g: (x - g.as_fraction()).sign(), False
-    )
+    return _grid_cell(x._interval_raw, precision_bits, lambda g: (x - g.as_fraction()).sign())
 
 
 # --------------------------------------------------------------------------
@@ -1269,26 +1260,19 @@ class Quantity:
     # -- exact comparisons ---------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign; c0 + c1*pi vanishes only when both components do."""
+        """Exact sign; terminates for every value.
+
+        With ``c1 == 0`` it is the sign of ``c0``.  Otherwise the value is
+        not zero: ``c0`` and ``c1`` are algebraic and pi is transcendental
+        (Lindemann, 1882), so ``c0 + c1*pi = 0`` would make pi the algebraic
+        ``-c0/c1``.  pi is computed to as many bits as a round asks for, so
+        the enclosures shrink to that nonzero real and one excludes zero.
+        """
         if self.c1.is_zero():
             return self.c0.sign()
         if self.c0.is_zero():
             return self.c1.sign()
-
-        def stuck(lo: Dyadic, hi: Dyadic, bits: int) -> bool:
-            if bits <= PI_PRECISION_CAP:  # more bits still narrow the pi term
-                return False
-            low, high = self._pi_segment_signs(Fraction(0))
-            return low <= 0 <= high
-
-        return _refine(
-            self._interval_raw,
-            32,
-            _interval_sign,
-            _PI_REFINE_CAP,
-            "cannot separate quantity from zero within the shipped pi precision",
-            stuck,
-        )
+        return _refine(self._interval_raw, 32, _interval_sign)
 
     __eq__ = _comparison(_coerce_quantity, operator.eq)
     __lt__ = _comparison(_coerce_quantity, operator.lt)
@@ -1300,20 +1284,6 @@ class Quantity:
 
     # -- enclosures ------------------------------------------------------------
 
-    def _pi_segment_signs(self, t: Fraction) -> tuple[int, int]:
-        """Signs of ``c0 + c1*p - t`` at the low and the high end of the
-        segment it sweeps as p runs over the shipped pi interval.
-
-        Every enclosure of ``self`` contains that segment, whatever its
-        precision, so a test the segment fails no round can pass.
-        """
-        ends = [
-            self.c0 - t + self.c1 * Fraction(m, 2**-_PI_EXP)
-            for m in (_PI_MAN, _PI_MAN + 1)
-        ]
-        low, high = ends if self.c1.sign() > 0 else ends[::-1]
-        return low.sign(), high.sign()
-
     def _interval_raw(self, bits: int) -> _Raw:
         base = self.c0._interval_raw(bits)
         if self.c1.is_zero():
@@ -1323,10 +1293,7 @@ class Quantity:
 
     def enclose(self, precision_bits: int) -> Interval:
         return _grid_cell(
-            self._interval_raw,
-            precision_bits,
-            lambda g: (self - g.as_fraction()).sign(),
-            not self.c1.is_zero(),
+            self._interval_raw, precision_bits, lambda g: (self - g.as_fraction()).sign()
         )
 
     # -- rendering ----------------------------------------------------------------
@@ -1358,18 +1325,15 @@ PI = Quantity(0, 1)
 def enclose_percent(num: Quantity, den: Quantity, precision_bits: int) -> Interval:
     """The grid cell of ``precision_bits`` holding ``100*num/den``."""
     hundred = _riv_from_fraction(Fraction(100), 16)
-    # a nonzero den has enclosures apart from zero from some precision on;
-    # with a pi part, only while the shipped pi still narrows them
-    den_cap = None if den.c1.is_zero() else _PI_REFINE_CAP
-    overflow = "cannot separate the denominator from zero within the shipped pi"
 
+    # a nonzero den has enclosures apart from zero from some precision on
     def apart(lo: Dyadic, hi: Dyadic, bits: int) -> Optional[_Raw]:
         if lo.man == 0 == hi.man:  # a certified [0, 0]
             raise DomainError("division by zero")
         return (lo, hi) if lo.man > 0 or hi.man < 0 else None
 
     def percent(bits: int) -> _Raw:
-        d = _refine(den._interval_raw, bits, apart, den_cap, overflow)
+        d = _refine(den._interval_raw, bits, apart)
         quotient = _riv_div(num._interval_raw(bits), d, bits)
         return _riv_mul(quotient, hundred, bits)
 
@@ -1377,8 +1341,7 @@ def enclose_percent(num: Quantity, den: Quantity, precision_bits: int) -> Interv
         # 100*num/den - g has the sign of (100*num - g*den)*den
         return (num.scale(100) - den.scale(g.as_fraction())).sign() * den.sign()
 
-    has_pi = not (num.c1.is_zero() and den.c1.is_zero())
-    return _grid_cell(percent, precision_bits, sign_at, has_pi)
+    return _grid_cell(percent, precision_bits, sign_at)
 
 
 # --------------------------------------------------------------------------
@@ -1427,14 +1390,12 @@ def to_decimal(value: Union[Coercible, Quantity], digits: int) -> str:
         if value.is_constant():
             return to_decimal(value.c0, digits)
         encloser = value._interval_raw
-        pi_part: Optional[Quantity] = value
     else:
         x = constructible(value)
         if x.tower is None:
             return _decimal_exact(x.as_fraction(), digits)
         encloser = x._interval_raw
-        pi_part = None
-    # irrational: refine until both endpoints round to the same decimal
+    # irrational, so on no rounding boundary: refine until both ends agree
     scale = 10**digits
 
     def nearest(d: Dyadic) -> int:
@@ -1444,15 +1405,4 @@ def to_decimal(value: Union[Coercible, Quantity], digits: int) -> str:
         n_lo = nearest(lo)
         return _format_scaled(n_lo, digits) + "…" if n_lo == nearest(hi) else None
 
-    def stuck(lo: Dyadic, hi: Dyadic, bits: int) -> bool:
-        if pi_part is None or bits <= PI_PRECISION_CAP:
-            return False
-        n_hi = nearest(hi)
-        if n_hi != nearest(lo) + 1:
-            return False
-        # the one rounding boundary inside the enclosure
-        low, high = pi_part._pi_segment_signs(Fraction(2 * n_hi - 1, 2 * scale))
-        return low < 0 <= high  # nearest() rounds the boundary itself up
-
-    return _refine(encloser, 64, decide, 8192, "decimal rendering did not converge", stuck)
-
+    return _refine(encloser, 64, decide)

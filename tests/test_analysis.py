@@ -19,8 +19,6 @@ from sulvalab.analysis import (
 )
 from sulvalab.catalog import CATALOG
 from sulvalab.exactreal import (
-    PI_PRECISION_CAP,
-    CapacityError,
     DomainError,
     enclose,
     sqrt,
@@ -162,11 +160,17 @@ def test_error_monotone_refinement():
         assert w256 <= w128 <= w64
 
 
-def test_relative_error_past_the_shipped_pi_is_a_capacity_error():
-    # the true value of a circle rule is a pi-quantity
-    assert relative_error("manava_dani", PI_PRECISION_CAP - 16).width() > 0
-    with pytest.raises(CapacityError):
-        relative_error("manava_dani", 1600)
+def test_relative_error_past_the_shipped_pi_against_the_oracle():
+    # the true value of a circle rule is a pi-quantity, and pi is computed to
+    # any precision, past the 1538 bits once shipped
+    for p in (1504, 1600, 4096):
+        expected = oracle_percent(
+            lambda: 100
+            * (mpmath.pi * (mpmath.mpf(31) / 150 + 2 * mpmath.sqrt(17) / 75) - 1),
+            prec=p + 200,
+        )
+        iv = relative_error("manava_dani", p)
+        assert iv.contains(expected) and iv.precision_bits == p, p
 
 
 # -- comparisons ------------------------------------------------------------------

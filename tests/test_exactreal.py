@@ -218,9 +218,32 @@ def test_sign_decides_a_noncanonical_zero_in_the_first_round(monkeypatch):
         assert er._norm_is_zero(zero)
 
 
+# floor(pi * 2**1536): the 1538-bit pi this package used to ship as a
+# constant, kept as the reference for the pi computed on demand
+SHIPPED_PI_MAN = int(
+    "3243f6a8885a308d313198a2e03707344a4093822299f31d0082efa98ec4e6c8"
+    "9452821e638d01377be5466cf34e90c6cc0ac29b7c97c50dd3f84d5b5b547091"
+    "79216d5d98979fb1bd1310ba698dfb5ac2ffd72dbd01adfb7b8e1afed6a267e9"
+    "6ba7c9045f12c7f9924a19947b3916cf70801f2e2858efc16636920d871574e6"
+    "9a458fea3f4933d7e0d95748f728eb658718bcd5882154aee7b54a41dc25a59b"
+    "59c30d5392af26013c5d1b023286085f0ca417918b8db38ef8e79dcb0603a180"
+    "e",
+    16,
+)
+
+
 def _pi_truncation_midpoint() -> Fraction:
-    # the shipped pi enclosure never shrinks below [m, m + 1] * 2**-1536
-    return Fraction(2 * er._PI_MAN + 1, 2**1537)
+    # the shipped pi enclosure never shrank below [m, m + 1] * 2**-1536
+    return Fraction(2 * SHIPPED_PI_MAN + 1, 2**1537)
+
+
+def _mp_sign(expr) -> int:
+    value = oracle(expr, prec=4000)
+    return (value > 0) - (value < 0)
+
+
+def _mpf(f: Fraction):
+    return mpmath.mpf(f.numerator) / f.denominator
 
 
 def _record_pi_bits(monkeypatch) -> list:
@@ -236,31 +259,33 @@ def _record_pi_bits(monkeypatch) -> list:
 
 
 def test_quantity_sign_stops_past_shipped_pi(monkeypatch):
-    near_zero = Quantity(-_pi_truncation_midpoint(), 1)
+    # within 2**-1537 of zero, closer than the shipped pi could tell: pi
+    # computed on demand decides the sign in a round past its 1538 bits
+    mid = _pi_truncation_midpoint()
+    expected = _mp_sign(lambda: mpmath.pi - _mpf(mid))
     requested = _record_pi_bits(monkeypatch)
-    with pytest.raises(CapacityError, match="cannot separate quantity from zero"):
-        near_zero.sign()
-    # the first round past the cap uses all of the shipped pi; no later one
-    assert max(requested) == 2048
+    assert Quantity(-mid, 1).sign() == expected != 0
+    assert Quantity(mid, -1).sign() == -expected
+    assert max(requested) > 1538
 
 
-def test_to_decimal_stops_on_an_unresolvable_tie(monkeypatch):
-    near_half = Quantity(Fraction(1, 2) - _pi_truncation_midpoint(), 1)
-    requested = _record_pi_bits(monkeypatch)
-    with pytest.raises(CapacityError, match="did not converge"):
-        to_decimal(near_half, 0)
-    assert max(requested) == 2048
+def test_to_decimal_resolves_a_tie_the_shipped_pi_could_not():
+    # 1/2 + (pi - mid) lies on the side of the rounding boundary 1/2 that the
+    # sign of pi - mid picks
+    mid = _pi_truncation_midpoint()
+    near_half = Quantity(Fraction(1, 2) - mid, 1)
+    above = _mp_sign(lambda: mpmath.pi - _mpf(mid)) > 0
+    assert to_decimal(near_half, 0) == ("1…" if above else "0…")
 
 
-def test_quantity_sign_refines_past_the_cap_when_pi_is_not_the_limit(monkeypatch):
-    # pi minus its truncation is below 2**-1536; the offset 2**-3000 keeps the
-    # value off zero over the whole shipped pi interval, so more bits decide it
+def test_quantity_sign_refines_past_the_cap_when_pi_is_not_the_limit():
+    # pi minus its shipped truncation is below 2**-1536; an offset of
+    # 2**-3000 leaves the sign to be decided far past the shipped bits
     offset = Fraction(1, 2**3000)
-    truncation = Fraction(er._PI_MAN, 2**1536)
-    requested = _record_pi_bits(monkeypatch)
-    assert Quantity(offset - truncation, 1).sign() == 1
+    truncation = Fraction(SHIPPED_PI_MAN, 2**1536)
+    expected = _mp_sign(lambda: _mpf(offset - truncation) + mpmath.pi)
+    assert Quantity(offset - truncation, 1).sign() == expected == 1
     assert Quantity(truncation - offset, -1).sign() == -1
-    assert max(requested) == 4096
 
 
 @pytest.mark.parametrize(
@@ -446,8 +471,36 @@ def test_manava_ratio_exceeds_pi():
 
 
 def test_pi_capacity():
-    with pytest.raises(CapacityError):
-        pi_enclosure(4096)
+    # pi is computed on demand, far past the 1538 bits once shipped
+    for p in (64, 1538, 4096, 16384):
+        iv = pi_enclosure(p)
+        assert iv.contains(oracle(lambda: mpmath.pi, prec=p + 200)), p
+        assert iv.width() == Fraction(1, 2 ** (p + 2))
+
+
+def test_riv_pi_matches_the_shipped_constant(monkeypatch):
+    with mpmath.workprec(1700):
+        assert SHIPPED_PI_MAN == int(mpmath.floor(mpmath.pi * 2**1536))
+    # widen the memo from nothing, through every precision the constant covered
+    monkeypatch.setattr(er, "_pi_memo", (3, 0))
+    mismatches = [
+        b
+        for b in range(2, 1539)
+        if er._riv_pi(b)
+        != (
+            er._round_floor(SHIPPED_PI_MAN, -1536, b),
+            er._round_ceil(SHIPPED_PI_MAN + 1, -1536, b),
+        )
+    ]
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("x", [2, 3, 5, 239])
+def test_atan_inv_error_bound(x):
+    for one in (1, 3, 2**8, 10**50, 2**1000, 2**5000 + 1):
+        s, e = er._atan_inv(x, one)
+        with mpmath.workprec(one.bit_length() + 200):
+            assert abs(s - one * mpmath.atan(mpmath.mpf(1) / x)) < e, one
 
 
 # -- quantities -----------------------------------------------------------------
@@ -511,6 +564,16 @@ def test_to_decimal_irrational():
     assert to_decimal(sqrt(2), 12) == "1.414213562373…"
     assert to_decimal(er.PI, 10) == "3.1415926536…"
     assert to_decimal(-sqrt(2), 3) == "-1.414…"
+
+
+def test_to_decimal_past_the_old_round_cap():
+    # 5000 digits of sqrt(2) take rounds past 8192 bits, and 600 digits of pi
+    # take more than 1538 bits of pi
+    with mpmath.workdps(5100):
+        root2 = mpmath.nstr(mpmath.sqrt(2), 5001, strip_zeros=False)
+        pi = mpmath.nstr(mpmath.pi, 601, strip_zeros=False)
+    assert to_decimal(sqrt(2), 5000) == root2 + "…"
+    assert to_decimal(er.PI, 600) == pi + "…"
 
 
 def test_to_decimal_quantity_constant():

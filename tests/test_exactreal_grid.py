@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from sulvalab import exactreal as er
 from sulvalab.exactreal import (
-    CapacityError,
     DomainError,
     Quantity,
     constructible,
@@ -171,11 +170,11 @@ def test_a_denominator_the_first_round_cannot_separate_from_zero():
     assert_grid_cell(cell, 100 / _oracle(den), 8)
     with pytest.raises(DomainError, match="division by zero"):
         enclose_percent(Quantity(1), Quantity(sqrt(2) - sqrt(8) / 2), 8)
-    # pi's uncertainty times 2**1600 hides a denominator of at most 1/2
+    # at most 1/2: the shipped pi's uncertainty times 2**1600 hid it
     with mpmath.workprec(3300):
         c0 = -int(mpmath.nint(2**1600 * mpmath.pi))
-    with pytest.raises(CapacityError, match="cannot separate the denominator"):
-        enclose_percent(Quantity(1), Quantity(c0, 2**1600), 8)
+    pi_den = Quantity(c0, 2**1600)
+    assert_grid_cell(enclose_percent(Quantity(1), pi_den, 8), 100 / _oracle(pi_den), 8)
 
 
 @pytest.mark.parametrize("p", [16, 128, 1024])
@@ -188,50 +187,41 @@ def test_quantity_and_percent_cells_against_the_oracle(p):
     assert_grid_cell(enclose_percent(num, den, p), value, p)
 
 
-def test_pi_quantities_stop_at_the_shipped_pi():
-    cap = er.PI_PRECISION_CAP - 16
-    assert_grid_cell(er.PI.enclose(cap), _oracle(er.PI), cap)
-    for request in (
-        lambda: enclose_percent(er.PI - 3, er.PI, cap + 1),
-        lambda: enclose_percent(Quantity(1), er.PI, 1600),
-        lambda: er.PI.enclose(1600),
-    ):
-        with pytest.raises(CapacityError, match="beyond"):
-            request()
-    # a pi-free ratio has no such bound
+def test_pi_quantities_enclose_past_the_shipped_pi():
+    # pi is computed on demand, so no precision is out of reach
+    for p in (1505, 1600, 3000):
+        assert_grid_cell(er.PI.enclose(p), _oracle(er.PI), p)
+        ratio = 100 * _oracle(er.PI - 3) / _oracle(er.PI)
+        assert_grid_cell(enclose_percent(er.PI - 3, er.PI, p), ratio, p)
+        assert_grid_cell(enclose_percent(Quantity(1), er.PI, p), 100 / _oracle(er.PI), p)
     assert enclose_percent(Quantity(1), Quantity(3), 1600).contains(Fraction(100, 3))
 
 
-def test_a_cell_narrower_than_the_shipped_pi_allows_is_a_capacity_error():
-    # pi's uncertainty times 2**40 is wider than a cell of 1500 bits near 0
+def test_a_cell_narrower_than_the_shipped_pi_allows_against_the_oracle():
+    # pi's shipped uncertainty times 2**40 was wider than a cell of 1500 bits
     c1 = 2**40
     with mpmath.workprec(1700):
         c0 = -int(mpmath.nint(c1 * mpmath.pi))
     q = Quantity(c0, c1)
-    assert q.enclose(1400).contains_interval(q.enclose(1450))
-    with pytest.raises(CapacityError, match="shipped pi"):
-        q.enclose(1500)
+    for p in (1400, 1500, 2000):
+        assert_grid_cell(q.enclose(p), _oracle(q), p)
+    assert q.enclose(1400).contains_interval(q.enclose(1500))
 
 
 @pytest.mark.parametrize("p", [8, 64, 1000])
 @pytest.mark.parametrize("g", [0, 3, -4])
 def test_a_pi_quantity_the_shipped_pi_cannot_tell_from_a_grid_point(p, g):
-    # within 2**-1601 of g: no exact sign settles the side, so the answer
-    # is the two cells around g of the finer grid of p + 1
+    # within 2**-1601 of g, closer than the shipped pi could tell: the exact
+    # sign settles the side, so the answer is the one cell of p next to g
     with mpmath.workprec(3300):
         n = int(mpmath.nint(2**1600 * mpmath.pi))
     q = er.PI - Fraction(n, 2**1600) + g
-    with pytest.raises(CapacityError):
-        (q - g).sign()
-    eps = Fraction(1, 2**2000)
-    lo = g - _spacing(g - eps, p + 1)
-    hi = g + _spacing(g + eps, p + 1)
+    value = _oracle(q)
+    assert (q - g).sign() == (value > g) - (value < g) != 0
     cell = q.enclose(p)
-    assert (cell.lo.as_fraction(), cell.hi.as_fraction()) == (lo, hi)
-    assert cell.precision_bits == p
-    assert lo < _oracle(q) < hi
-    # inside the two cells of p around g, and not changed by a finer request
-    assert g - _spacing(g - eps, p) < lo and hi < g + _spacing(g + eps, p)
+    assert_grid_cell(cell, value, p)
+    assert g in (cell.lo.as_fraction(), cell.hi.as_fraction())
+    # not changed by a finer request
     q.enclose(p + 100)
     assert q.enclose(p) == cell
     if g == 0:
