@@ -13,7 +13,10 @@ Every rule is homogeneous: at input length ``k`` its figures are the
 unit-size figures scaled by ``k``, and its ``claimed`` and ``actual``
 values scale as ``k**KINDS[kind]`` (``k**2`` for areas, ``k`` for lengths
 and ratios).  So each entry holds only its construction at input length 1,
-and :meth:`Rule.run` scales and places that for any size and center.
+and :meth:`Rule.run` scales and places that for any size and center.  The
+unit construction is built once, on the rule's first run, and shared by
+every later run; a placed output scales the values at once and maps the
+figures only on first access.
 """
 
 from __future__ import annotations
@@ -76,14 +79,45 @@ class UnknownRuleError(LookupError):
     """No catalog entry under the requested identifier."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RuleOutput:
-    """What a rule built, what it asserts, and what it truly measures."""
+    """What a rule built, what it asserts, and what it truly measures.
+
+    ``claimed`` and ``actual`` are set when the output is made.  An output
+    that :meth:`Rule.run` placed away from the unit construction holds that
+    unit output and the map ``p -> k*p + center`` instead of its figures;
+    it maps ``figures`` and ``witness_points`` through
+    :func:`~sulvalab.geom.similar` on first access, once, so callers that
+    read only the values never build them.
+    """
 
     figures: tuple[Figure, ...]
     claimed: Quantity
     actual: Quantity
-    witness_points: Optional[tuple[Point, ...]] = None
+    witness_points: Optional[tuple[Point, ...]]
+
+    def __init__(
+        self,
+        figures: tuple[Figure, ...],
+        claimed: Quantity,
+        actual: Quantity,
+        witness_points: Optional[tuple[Point, ...]] = None,
+    ) -> None:
+        vars(self).update(
+            figures=figures, claimed=claimed, actual=actual, witness_points=witness_points
+        )
+
+    def __getattr__(self, name: str) -> object:
+        # reached only for an attribute not yet set: the figures or witness
+        # points of a placed output, on first access
+        placement = vars(self).get("_placement")
+        if placement is None or name not in ("figures", "witness_points"):
+            raise AttributeError(f"'RuleOutput' object has no attribute {name!r}")
+        unit, k, center = placement
+        anchors = getattr(unit, name)
+        placed = None if anchors is None else tuple(similar(a, k, center) for a in anchors)
+        vars(self)[name] = placed
+        return placed
 
 
 _ORIGIN = point(0, 0)
@@ -99,13 +133,19 @@ class Rule:
     reconstruction: bool = False
     notes: str = ""
 
+    def __post_init__(self) -> None:
+        # the unit construction is a value: build it on first use, then share it
+        object.__setattr__(self, "unit", cache(self.unit))
+
     def run(self, size: Coercible = 1, center: Point = _ORIGIN) -> RuleOutput:
         """The construction at input length ``size``, placed at ``center``.
 
         Every point ``p`` of the unit construction maps to
         ``size*p + center``, and ``claimed`` and ``actual`` scale by
-        ``size**KINDS[kind]``.  At size 1 on the origin the unit output
-        itself is returned.
+        ``size**KINDS[kind]``.  The unit output is built once, on the
+        rule's first run, and shared: at size 1 on the origin it is
+        returned itself, and elsewhere the output maps its figures and
+        witness points from it on first access.
         """
         k = constructible(size)
         if k.sign() != 1:
@@ -118,13 +158,9 @@ class Rule:
         if not unit_size:
             factor = k ** KINDS[self.kind]
             claimed, actual = claimed.scale(factor), actual.scale(factor)
-        witnesses = unit.witness_points
-        return RuleOutput(
-            tuple(similar(f, k, center) for f in unit.figures),
-            claimed,
-            actual,
-            None if witnesses is None else tuple(similar(p, k, center) for p in witnesses),
-        )
+        placed = RuleOutput.__new__(RuleOutput)
+        vars(placed).update(claimed=claimed, actual=actual, _placement=(unit, k, center))
+        return placed
 
 
 # -- hypotenuse ---------------------------------------------------------------
@@ -185,6 +221,8 @@ def _trisected_unit() -> tuple[Square, Circle, tuple[Segment, ...], Point]:
     return square, outer, vertical + horizontal, top
 
 
+# bench/ reads this cache's cache_info(); the rule's own cache already
+# shares the unit, so ROADMAP item 1 (in-package counters) deletes this one
 @cache
 def _dani_unit() -> RuleOutput:
     """Circle through eight marks on the trisectors, Dani's reading.

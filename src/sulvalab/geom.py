@@ -40,25 +40,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+# Figures compare field by field, and so exactly, like their coordinates;
+# like them they are unhashable.
+
+
+@dataclass(frozen=True)
 class Point:
     x: ConstructibleReal
     y: ConstructibleReal
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Point):
-            return NotImplemented
-        return self.x == other.x and self.y == other.y
+    __hash__ = None  # type: ignore[assignment]
 
 
 def point(x: Coercible, y: Coercible) -> Point:
     return Point(constructible(x), constructible(y))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Segment:
     a: Point
     b: Point
+
+    __hash__ = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.a == self.b:
@@ -69,12 +72,14 @@ class Segment:
         return Point((self.a.x + self.b.x) * half, (self.a.y + self.b.y) * half)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Square:
     """Axis-aligned square given by its center and half side length."""
 
     center: Point
     half_side: ConstructibleReal
+
+    __hash__ = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.half_side.sign() != 1:
@@ -94,10 +99,12 @@ class Square:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Circle:
     center: Point
     radius: ConstructibleReal
+
+    __hash__ = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.radius.sign() != 1:

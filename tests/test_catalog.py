@@ -1,5 +1,7 @@
 """Catalog rules: documented values, witness invariants, scale behaviour."""
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -13,10 +15,11 @@ from sulvalab.catalog import (
     rule_ids,
     sqrt2_sulba_constant,
 )
-from sulvalab.exactreal import DomainError, enclose, from_rational, sqrt
-from sulvalab.geom import Circle, Point, Segment, Square, distance_squared
+from sulvalab.exactreal import DomainError, constructible, enclose, from_rational, sqrt
+from sulvalab.geom import Circle, Point, Segment, Square, distance_squared, point, similar
 
 
+from child_env import child_env
 from oracle_util import oracle
 
 
@@ -355,3 +358,61 @@ def test_scale_invariance_of_claim_ratio():
             else:
                 ratio = out.actual.c1 / out.claimed.c0
             assert (ratio - base_ratio).sign() == 0
+
+
+# -- shared units and lazy placement ----------------------------------------------
+
+
+@pytest.mark.parametrize("rule", CATALOG, ids=lambda rule: rule.id)
+def test_lazy_placement_equals_eager_placement(rule):
+    unit = rule.unit()
+    assert rule.unit() is unit
+    assert rule.run(1) is unit
+    for size in (1, Fraction(7, 2), sqrt(2)):
+        k = constructible(size)
+        for center in (point(0, 0), point(Fraction(3, 2), -5)):
+            out = rule.run(size, center)
+            assert out.figures == tuple(similar(f, k, center) for f in unit.figures)
+            if unit.witness_points is None:
+                assert out.witness_points is None
+            else:
+                assert out.witness_points == tuple(
+                    similar(p, k, center) for p in unit.witness_points
+                )
+            # mapped once: a second access returns the same objects
+            assert out.figures is out.figures
+            assert out == rule.run(size, center)
+
+
+def test_importing_builds_nothing():
+    # what the benchmark's worker checks at start, checked here in a fresh
+    # interpreter: importing the package opens no tower, builds no unit
+    # construction and leaves the shared constants without memos
+    child = """
+import sulvalab, sulvalab.cli
+from sulvalab import catalog, exactreal as er
+problems = []
+if er._ROOT_EXTENSIONS:
+    problems.append(f"{len(er._ROOT_EXTENSIONS)} towers registered")
+for name, unit in [("_dani_unit", catalog._dani_unit)] + [
+    (rule.id, rule.unit) for rule in catalog.CATALOG
+]:
+    if unit.cache_info().currsize:
+        problems.append(f"unit of {name} built")
+for name in ("_ZERO", "_ONE"):
+    if getattr(er, name)._iv is not None:
+        problems.append(f"{name} carries a memo")
+for name in ("c0", "c1"):
+    if getattr(er.PI, name)._iv is not None:
+        problems.append(f"PI.{name} carries a memo")
+print(problems)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", child],
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

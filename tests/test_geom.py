@@ -246,3 +246,24 @@ def test_similar_leaves_identity_parts_alone():
     corner = point(sqrt(3), 1)
     fixed = similar(corner, one, origin)
     assert fixed.x is corner.x and fixed.y is corner.y
+
+
+def test_figures_compare_exactly_by_fields():
+    # equal values built along different paths compare equal; hashing stays
+    # unsupported, as for the coordinates
+    half = from_rational(1, 2)
+    same_half = sqrt(2) * sqrt(2) / 4
+    a, b = point(0, 0), point(1, sqrt(3))
+    assert Square(a, half) == Square(point(0, 0), same_half)
+    assert Square(a, half) != Square(a, from_rational(1, 3))
+    assert Square(a, half) != Square(b, half)
+    assert Circle(b, sqrt(2)) == Circle(point(1, sqrt(3)), sqrt(8) / 2)
+    assert Circle(a, half) != Circle(a, sqrt(2))
+    assert Segment(a, b) == Segment(point(0, 0), point(1, sqrt(12) / 2))
+    assert Segment(a, b) != Segment(b, a)
+    # a square and a circle on the same numbers are different figures
+    assert Square(a, half) != Circle(a, half)
+    assert Point(a.x, a.y) != Circle(a, half)
+    for figure in (a, Segment(a, b), Square(a, half), Circle(a, half)):
+        with pytest.raises(TypeError):
+            hash(figure)
