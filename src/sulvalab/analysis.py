@@ -139,12 +139,12 @@ def _relative_error(rule: Rule, out: RuleOutput, precision_bits: int) -> Interva
     return enclose_percent(approx - true, true, precision_bits)
 
 
-def report_for(
-    rule_id: str,
-    precision_bits: int = 128,
-    width_limit: Optional[Fraction] = REPORTING_WIDTH_PERCENT,
-) -> RuleReport:
-    """Full adjudication of one rule at the given precision; runs it once."""
+def report_for(rule_id: str, precision_bits: int = 128) -> RuleReport:
+    """Full adjudication of one rule at the given precision; runs it once.
+
+    Raises :class:`ToleranceError` once the relative error cell is
+    ``REPORTING_WIDTH_PERCENT`` wide or wider.
+    """
     rule = lookup(rule_id)
     out = rule.run(1)
     pi_exact = pi_interval = None
@@ -154,10 +154,10 @@ def report_for(
     error = None
     if rule.kind in ERROR_KINDS:
         error = _relative_error(rule, out, precision_bits)
-        if width_limit is not None and error.width() >= width_limit:
+        if error.width() >= REPORTING_WIDTH_PERCENT:
             raise ToleranceError(
                 f"error interval for {rule.id} is wider than the reporting "
-                f"limit {width_limit} percent; raise precision_bits"
+                f"limit {REPORTING_WIDTH_PERCENT} percent; raise precision_bits"
             )
     return RuleReport(
         rule_id=rule.id,
@@ -174,11 +174,7 @@ def report_for(
     )
 
 
-def compare_rules(
-    rule_ids: Sequence[str],
-    precision_bits: int = 128,
-    width_limit: Optional[Fraction] = REPORTING_WIDTH_PERCENT,
-) -> list[RuleReport]:
+def compare_rules(rule_ids: Sequence[str], precision_bits: int = 128) -> list[RuleReport]:
     """Reports ordered by error magnitude, most accurate rule first.
 
     Rules without an error target are skipped; an empty applicable set is a
@@ -192,20 +188,14 @@ def compare_rules(
             applicable.append(rule.id)
     if not applicable:
         raise DomainError("no rule in the requested set has an error target")
-    reports = [report_for(r, precision_bits, width_limit) for r in applicable]
+    reports = [report_for(r, precision_bits) for r in applicable]
     reports.sort(key=lambda rep: (abs(rep.error_midpoint()), rep.rule_id))
     return reports
 
 
-def full_table(
-    precision_bits: int = 128,
-    width_limit: Optional[Fraction] = REPORTING_WIDTH_PERCENT,
-) -> list[RuleReport]:
+def full_table(precision_bits: int = 128) -> list[RuleReport]:
     """Deterministic adjudication of every catalog rule, sorted by id."""
-    return [
-        report_for(rule.id, precision_bits, width_limit)
-        for rule in sorted(CATALOG, key=lambda r: r.id)
-    ]
+    return [report_for(rule.id, precision_bits) for rule in sorted(CATALOG, key=lambda r: r.id)]
 
 
 def _interval_json(interval: Interval) -> dict:

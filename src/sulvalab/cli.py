@@ -280,8 +280,7 @@ def render_command(
         sys.exit(2)
     try:
         options = svg_render.RenderOptions(
-            width=size,
-            height=size,
+            size=size,
             label_digits=min(digits, 12),
             show_labels=labels,
             show_witness_points=not no_witness_points,

@@ -88,7 +88,7 @@ class UnsupportedQuantityError(TypeError):
 # configuration
 
 _DEFAULT_TOWER_CAP = 6
-# bench/ reads this; ROADMAP item 3 (the benchmark reading in-package counters) deletes it
+# bench/ reads this; ROADMAP item 1 (the benchmark reading in-package counters) deletes it
 _DEFAULT_SIGN_BITS = 256
 
 _tower_cap = _DEFAULT_TOWER_CAP
@@ -106,7 +106,7 @@ def tower_cap() -> int:
     return _tower_cap
 
 
-# bench/ reads this; ROADMAP item 3 (the benchmark reading in-package counters) deletes it
+# bench/ reads this; ROADMAP item 1 (the benchmark reading in-package counters) deletes it
 def sign_refinement_bits() -> int:
     return _DEFAULT_SIGN_BITS
 
@@ -819,20 +819,7 @@ class ConstructibleReal:
             num = _int_str(frac.numerator)
             return num if frac.denominator == 1 else f"{num}/{_int_str(frac.denominator)}"
         assert self.a is not None and self.b is not None
-        root = f"sqrt({self.tower.radicand})"
-        b = self.b
-        b_negative = b.sign() < 0
-        b_abs = _neg(b) if b_negative else b
-        if b_abs.tower is None and b_abs.frac == 1:
-            term = root
-        elif b_abs.tower is None:
-            term = f"{b_abs}*{root}"
-        else:
-            term = f"({b_abs})*{root}"
-        if self.a.is_zero():
-            return f"-{term}" if b_negative else term
-        op = " - " if b_negative else " + "
-        return f"{self.a}{op}{term}"
+        return _sum_str(self.a, self.b, f"sqrt({self.tower.radicand})")
 
     def __repr__(self) -> str:
         return f"ConstructibleReal({str(self)!r})"
@@ -974,6 +961,21 @@ def _add(x: ConstructibleReal, y: ConstructibleReal) -> ConstructibleReal:
     return _node(tower, _add(xa, ya), _add(xb, yb))
 
 
+def _sum_str(a: ConstructibleReal, b: ConstructibleReal, generator: str) -> str:
+    """``a + b*generator`` for a nonzero ``b``: the sign of ``b`` becomes the
+    operator, a unit coefficient is dropped, an irrational one is
+    parenthesised, and a zero ``a`` is left out."""
+    negative = b.sign() < 0
+    b_abs = _neg(b) if negative else b
+    if b_abs.tower is not None:
+        term = f"({b_abs})*{generator}"
+    else:
+        term = generator if b_abs.frac == 1 else f"{b_abs}*{generator}"
+    if a.is_zero():
+        return f"-{term}" if negative else term
+    return f"{a}{' - ' if negative else ' + '}{term}"
+
+
 def _neg(x: ConstructibleReal) -> ConstructibleReal:
     if x.tower is None:
         assert x.frac is not None
@@ -1025,7 +1027,7 @@ def _inv(x: ConstructibleReal) -> ConstructibleReal:
     return _node(x.tower, _mul(x.a, inv_norm), _neg(_mul(x.b, inv_norm)))
 
 
-# bench/ reads this; ROADMAP item 3 (the benchmark reading in-package counters) deletes it
+# bench/ reads this; ROADMAP item 1 (the benchmark reading in-package counters) deletes it
 def _norm_is_zero(x: ConstructibleReal) -> bool:
     """Exact zero decision by recursive conjugate norms.
 
@@ -1301,19 +1303,7 @@ class Quantity:
     def __str__(self) -> str:
         if self.c1.is_zero():
             return str(self.c0)
-        c1 = self.c1
-        negative = c1.sign() < 0
-        c1_abs = -c1 if negative else c1
-        if c1_abs.is_rational() and c1_abs.as_fraction() == 1:
-            term = "pi"
-        elif c1_abs.is_rational():
-            term = f"{c1_abs}*pi"
-        else:
-            term = f"({c1_abs})*pi"
-        if self.c0.is_zero():
-            return f"-{term}" if negative else term
-        op = " - " if negative else " + "
-        return f"{self.c0}{op}{term}"
+        return _sum_str(self.c0, self.c1, "pi")
 
     def __repr__(self) -> str:
         return f"Quantity({str(self)!r})"

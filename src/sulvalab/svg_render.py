@@ -5,15 +5,16 @@ cell of the exact value (see ``exactreal.enclose``), its dyadic midpoint
 as an exact fraction, an exact affine world-to-screen transform, and a
 fixed-point decimal with three fractional digits.  No floats are involved
 anywhere, so the output is byte-identical across runs and platforms, and
-whatever the process computed before.  No external assets or fonts are
-referenced.
+whatever the process computed before.  The canvas is square, ``size``
+px on a side, and the drawing fills it up to a fixed 10% margin on each
+edge.  No external assets or fonts are referenced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .catalog import RuleOutput
 from .exactreal import ConstructibleReal, DomainError, enclose, to_decimal
@@ -22,27 +23,22 @@ from .geom import Circle, Figure, Point, Segment, Square
 __all__ = ["RenderOptions", "render_rule_output", "to_svg"]
 
 _MARK_RADIUS = Fraction(3)
+_MARGIN = Fraction(1, 10)
 
 
 @dataclass(frozen=True)
 class RenderOptions:
-    """Canvas geometry and layer toggles for :func:`to_svg`."""
+    """Layer toggles for :func:`to_svg` and the side of its square canvas,
+    ``size`` px, inside which the drawing keeps a fixed 10% margin."""
 
-    width: int = 800
-    height: int = 800
-    margin: Fraction = Fraction(1, 10)
+    size: int = 800
     label_digits: int = 6
-    show_grid: bool = False
     show_labels: bool = False
     show_witness_points: bool = True
 
     def __post_init__(self) -> None:
-        if min(self.width, self.height) < 100:
+        if self.size < 100:
             raise DomainError("canvas must be at least 100 px on each side")
-        margin = Fraction(self.margin)
-        if not 0 <= margin < Fraction(2, 5):
-            raise DomainError("margin fraction must lie in [0, 0.4)")
-        object.__setattr__(self, "margin", margin)
         if self.label_digits < 1:
             raise DomainError("label_digits must be positive")
 
@@ -88,25 +84,18 @@ class _Transform:
         ymax = max(b[3] for b in boxes)
         span_x = xmax - self.xmin
         span_y = ymax - self.ymin
-        usable_x = Fraction(options.width) * (1 - 2 * options.margin)
-        usable_y = Fraction(options.height) * (1 - 2 * options.margin)
-        scales = []
-        if span_x > 0:
-            scales.append(usable_x / span_x)
-        if span_y > 0:
-            scales.append(usable_y / span_y)
-        self.scale = min(scales) if scales else Fraction(1)
-        self.ox = (Fraction(options.width) - self.scale * span_x) / 2
-        self.oy = (Fraction(options.height) - self.scale * span_y) / 2
-        self.height = Fraction(options.height)
-        self.span_x, self.span_y = span_x, span_y
+        span = max(span_x, span_y)
+        self.size = Fraction(options.size)
+        self.scale = self.size * (1 - 2 * _MARGIN) / span if span > 0 else Fraction(1)
+        self.ox = (self.size - self.scale * span_x) / 2
+        self.oy = (self.size - self.scale * span_y) / 2
 
     def x(self, world: Fraction) -> Fraction:
         return self.ox + self.scale * (world - self.xmin)
 
     def y(self, world: Fraction) -> Fraction:
         # SVG y grows downward
-        return self.height - self.oy - self.scale * (world - self.ymin)
+        return self.size - self.oy - self.scale * (world - self.ymin)
 
     def approx(self, value: ConstructibleReal) -> Fraction:
         """``_approx(value)``, worked out once per value and document."""
@@ -120,36 +109,7 @@ class _Transform:
         return self.x(self.approx(p.x)), self.y(self.approx(p.y))
 
 
-def _grid_lines(t: _Transform, options: RenderOptions) -> list[str]:
-    span = max(t.span_x, t.span_y, Fraction(1))
-    step = Fraction(1)
-    while span / step > 20:
-        step *= 10
-    while span / step < 2:
-        step /= 10
-    lines = []
-    k = (t.xmin / step).__ceil__()
-    while k * step <= t.xmin + t.span_x:
-        x = _fmt(t.x(k * step))
-        lines.append(
-            f'<line class="grid" x1="{x}" y1="0" x2="{x}" '
-            f'y2="{options.height}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        k += 1
-    k = (t.ymin / step).__ceil__()
-    while k * step <= t.ymin + t.span_y:
-        y = _fmt(t.y(k * step))
-        lines.append(
-            f'<line class="grid" x1="0" y1="{y}" x2="{options.width}" '
-            f'y2="{y}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        k += 1
-    return lines
-
-
-def _emit_figure(
-    figure: Figure, t: _Transform, options: RenderOptions, label: Optional[str]
-) -> list[str]:
+def _emit_figure(figure: Figure, t: _Transform, options: RenderOptions) -> list[str]:
     parts: list[str] = []
     if isinstance(figure, Square):
         x = t.x(t.approx(figure.center.x) - t.approx(figure.half_side))
@@ -160,7 +120,6 @@ def _emit_figure(
             f'width="{_fmt(side)}" height="{_fmt(side)}" '
             f'fill="none" stroke="#1f3a5f" stroke-width="1.5"/>'
         )
-        anchor = (x, y)
     elif isinstance(figure, Circle):
         cx, cy = t.point(figure.center)
         r = t.scale * t.approx(figure.radius)
@@ -168,7 +127,6 @@ def _emit_figure(
             f'<circle class="circle" cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
             f'r="{_fmt(r)}" fill="none" stroke="#a23b3b" stroke-width="1.5"/>'
         )
-        anchor = (cx - r, cy - r)
     elif isinstance(figure, Segment):
         x1, y1 = t.point(figure.a)
         x2, y2 = t.point(figure.b)
@@ -177,58 +135,39 @@ def _emit_figure(
             f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
             f'stroke="#6b6b6b" stroke-width="1"/>'
         )
-        anchor = (x1, y1)
     else:
         cx, cy = t.point(figure)
         parts.append(
             f'<circle class="mark" cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
             f'r="{_fmt(_MARK_RADIUS)}" fill="#a23b3b" stroke="none"/>'
         )
-        anchor = (cx + 5, cy - 5)
-        if label is None and options.show_labels:
+        if options.show_labels:
+            # digits, signs, points and ellipses only: nothing to escape
             digits = options.label_digits
-            label = (
-                f"({to_decimal(figure.x, digits)}, "
-                f"{to_decimal(figure.y, digits)})"
+            parts.append(
+                f'<text class="label" x="{_fmt(cx + 5)}" y="{_fmt(cy - 5)}" '
+                f'font-size="12">({to_decimal(figure.x, digits)}, '
+                f"{to_decimal(figure.y, digits)})</text>"
             )
-    if label is not None:
-        lx, ly = anchor
-        parts.append(
-            f'<text class="label" x="{_fmt(lx)}" y="{_fmt(ly)}" '
-            f'font-size="12">{_escape(label)}</text>'
-        )
     return parts
 
 
-def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    )
-
-
 def to_svg(
-    figures: Sequence[Figure],
-    options: RenderOptions = RenderOptions(),
-    labels: Optional[Sequence[Optional[str]]] = None,
+    figures: Sequence[Figure], options: RenderOptions = RenderOptions()
 ) -> str:
     """Render figures to an SVG 1.1 document with byte-deterministic output."""
     figures = list(figures)
     if not figures:
         raise DomainError("nothing to render: the figure list is empty")
-    if labels is not None and len(labels) != len(figures):
-        raise DomainError("labels must match figures one to one")
     t = _Transform(figures, options)
     body: list[str] = []
-    if options.show_grid:
-        body.extend(_grid_lines(t, options))
-    for index, figure in enumerate(figures):
-        label = labels[index] if labels is not None else None
-        body.extend(_emit_figure(figure, t, options, label))
+    for figure in figures:
+        body.extend(_emit_figure(figure, t, options))
     head = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{options.width}" height="{options.height}" '
-        f'viewBox="0 0 {options.width} {options.height}">\n'
+        f'width="{options.size}" height="{options.size}" '
+        f'viewBox="0 0 {options.size} {options.size}">\n'
     )
     return head + "\n".join(body) + "\n</svg>\n"
 

@@ -693,6 +693,15 @@ def test_repr_and_str_forms():
     assert str(Quantity(0, Fraction(8, 25))) == "8/25*pi"
     assert str(Quantity(-1, Fraction(1, 2))) == "-1 + 1/2*pi"
     assert str(er.PI) == "pi"
+    # an irrational coefficient is parenthesised, for roots and for pi alike
+    assert str((1 + sqrt(2)) * sqrt(3 + sqrt(2))) == "(1 + sqrt(2))*sqrt(3 + sqrt(2))"
+    assert str(Quantity(1, -sqrt(3))) == "1 - (sqrt(3))*pi"
+
+
+def test_negative_powers_invert():
+    assert sqrt(2) ** -3 == sqrt(2) / 4
+    with pytest.raises(DomainError):
+        from_rational(0) ** -1
 
 
 def test_merge_exceeding_cap_is_capacity_error():

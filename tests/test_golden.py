@@ -28,6 +28,10 @@ CLI_ARTIFACTS = {
     "analyze_all.txt": ["analyze", "all"],
     "catalog.txt": ["catalog"],
     "render_manava_dani.svg": ["render", "manava_dani"],
+    "render_manava_dani_labels.svg": [
+        "render", "manava_dani", "--size", "400", "--labels", "--digits", "4",
+    ],
+    "render_baudhayana_bare.svg": ["render", "baudhayana", "--size", "100", "--no-witness-points"],
 }
 
 # writes <stem>.report.txt and, when figures were emitted, <stem>.svg
@@ -189,12 +193,12 @@ def test_tables_depend_on_precision_alone():
 
 def rewrite(names: list) -> None:
     """Rewrite the named golden artifacts, or all of them when none is named."""
-    unknown = sorted(set(names) - {p.name for p in GOLDEN.iterdir()})
-    if unknown:
-        raise SystemExit(f"no golden artifact named {', '.join(unknown)}")
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         capture(out)
+        unknown = sorted(set(names) - {p.name for p in out.iterdir()})
+        if unknown:
+            raise SystemExit(f"no golden artifact named {', '.join(unknown)}")
         for path in sorted(out.iterdir()):
             if not names or path.name in names:
                 shutil.copyfile(path, GOLDEN / path.name)

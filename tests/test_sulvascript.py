@@ -223,6 +223,74 @@ def test_count_and_nth():
     assert evaluate(script).ok
 
 
+@pytest.mark.parametrize(
+    "source",
+    [
+        "let c = center(circle(point(1, 2), 3));\nassert xcoord(c) == 1;\n"
+        "assert ycoord(center(square(point(-1, 5), 2))) == 5;",
+        "let ps = intersect_horizontal(0, circle(point(1, 0), 1));\n"
+        "assert count(ps) == 2;\nassert xcoord(nth(ps, 1)) == 0;\n"
+        "assert xcoord(nth(ps, 2)) == 2;",
+        "let ps = intersect_horizontal(1, circle(point(0, 0), 1));\n"
+        "assert count(ps) == 1;\nassert xcoord(nth(ps, 1)) == 0;\n"
+        "assert ycoord(nth(ps, 1)) == 1;",
+        "let ps = intersect_horizontal(2, circle(point(0, 0), 1));\nassert count(ps) == 0;",
+        "let m = midpoint(segment(point(0, 0), point(1, 3)));\n"
+        "assert xcoord(m) == 1/2;\nassert ycoord(m) == 3/2;",
+    ],
+    ids=["center", "horizontal-two", "horizontal-tangent", "horizontal-none", "midpoint"],
+)
+def test_point_builtins(source):
+    result = evaluate(parse_ok(source))
+    assert result.ok, [str(d) for d in result.diagnostics]
+
+
+def diagnostics_of(source: str) -> list:
+    """(line, column, message) of the parse errors, or else of the run."""
+    parsed = parse(source)
+    diagnostics = evaluate(parsed.script).diagnostics if parsed.ok else parsed.diagnostics
+    return [(d.line, d.column, d.message) for d in diagnostics]
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("let c = center(point(0, 0));", (1, 9, "center() takes a square or a circle")),
+        (
+            "let s = segment(point(0, 0), point(1, 0));\nlet c = center(s);",
+            (2, 9, "center() takes a square or a circle"),
+        ),
+        ("let n = count(1);", (1, 9, "count() takes a list")),
+        ("let n = nth(2, 1);", (1, 9, "nth() takes a list")),
+        (
+            "let out = baudhayana(circle(point(0, 0), 1));",
+            (1, 11, "baudhayana takes a side length or a square"),
+        ),
+        (
+            "let out = manava_16_5(square(point(0, 0), 1));",
+            (1, 11, "manava_16_5 takes a diameter or a circle"),
+        ),
+        ("let out = baudhayana(point(0, 0));", (1, 11, "baudhayana takes a number or a figure")),
+        ("let x = sqrt(point(0, 0));", (1, 9, "sqrt argument must be a number, got point")),
+        (
+            "let s = segment(point(0, 0), point(1, 0));\nlet x = sqrt(divide(s, 2));",
+            (2, 9, "sqrt argument must be a number, got list"),
+        ),
+        ("let x = sqrt(pi());", (1, 9, "sqrt argument must be a number, got quantity")),
+        ("let x = xcoord(pi());", (1, 9, "argument must be a point, got quantity")),
+        ("let let = 1;", (1, 5, "'let' is a keyword")),
+        ("let x 1;", (1, 7, "expected '='")),
+        ("assert 1 = 2;", (1, 10, "expected '==', '<' or '>' in assertion")),
+        ("emit 1;", (1, 6, "expected an identifier in 'emit'")),
+        ("let x = 1/;", (1, 11, "expected a denominator")),
+        ("let x = 1.5/2;", (1, 13, "rational literals take integer parts, like 17/12")),
+        ("x = 1;", (1, 1, "expected a statement ('let', 'assert' or 'emit')")),
+    ],
+)
+def test_positioned_diagnostics(source, expected):
+    assert diagnostics_of(source) == [expected]
+
+
 def test_rule_call_recentered_on_figure():
     script = parse_ok(
         "let s = square(point(3, 4), 1/2);"
