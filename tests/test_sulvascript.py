@@ -291,6 +291,89 @@ def test_positioned_diagnostics(source, expected):
     assert diagnostics_of(source) == [expected]
 
 
+SEG = "segment(point(0, 0), point(1, 0))"
+SQ = "square(point(0, 0), 1/2)"
+CIR = "circle(point(0, 0), 1)"
+
+
+# one case per distinct message the vocabulary gives for a badly kinded,
+# out-of-range or miscounted argument, with its position
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("let p = point(pi(), 0);", (1, 9, "x coordinate must be a number, got quantity")),
+        (f"let p = point(0, {SEG});", (1, 9, "y coordinate must be a number, got segment")),
+        ("let s = segment(1, point(1, 0));", (1, 9, "segment start must be a point, got number")),
+        (f"let s = segment(point(0, 0), {SQ});", (1, 9, "segment end must be a point, got square")),
+        (f"let s = square({CIR}, 1);", (1, 9, "square center must be a point, got circle")),
+        ("let s = square(point(0, 0), point(1, 1));", (1, 9, "half side must be a number, got point")),
+        ("let c = circle(pi(), 1);", (1, 9, "circle center must be a point, got quantity")),
+        ("let c = circle(point(0, 0), add(pi(), 1));", (1, 9, "radius must be a number, got quantity")),
+        (f"let ps = intersect_vertical({CIR}, 1);", (1, 10, "line abscissa must be a number, got circle")),
+        (f"let ps = intersect_horizontal({SQ}, 1);", (1, 10, "line ordinate must be a number, got square")),
+        (f"let ps = intersect_vertical(0, {SQ});", (1, 10, "circle must be a circle, got square")),
+        ("let d = distance2(1, point(0, 0));", (1, 9, "first point must be a point, got number")),
+        (f"let d = distance2(point(0, 0), divide({SEG}, 2));", (1, 9, "second point must be a point, got list")),
+        ("let m = midpoint(point(0, 0));", (1, 9, "argument must be a segment, got point")),
+        (f"let r = radius({SQ});", (1, 9, "argument must be a circle, got square")),
+        (f"let c = circumcircle({CIR});", (1, 9, "argument must be a square, got circle")),
+        ("let t = trisectors_horizontal(1);", (1, 9, "argument must be a square, got number")),
+        (f"let c = circumference({SQ});", (1, 9, "argument must be a circle, got square")),
+        ("let y = ycoord(1/2);", (1, 9, "argument must be a point, got number")),
+        ("let x = claimed(1);", (1, 9, "argument must be a ruleoutput, got number")),
+        ("let x = sqrt(baudhayana(1));", (1, 9, "sqrt argument must be a number, got ruleoutput")),
+        ("let w = witness(1, 1);", (1, 9, "rule output must be a ruleoutput, got number")),
+        (f"let n = divide({SEG}, pi());", (1, 9, "part count must be a number, got quantity")),
+        (f"let n = divide({SEG}, 1/2);", (1, 9, "part count must be an integer")),
+        (f"let n = divide(1, {SEG});", (1, 9, "argument must be a segment, got number")),
+        (f"let p = nth(divide({SEG}, 2), sqrt(2));", (1, 9, "index must be an integer")),
+        (f"let p = nth(divide({SEG}, 2), {CIR});", (1, 9, "index must be a number, got circle")),
+        (f"let p = nth(divide({SEG}, 2), 4);", (1, 9, "index 4 out of range for a list of 3")),
+        (f"let p = nth(divide({SEG}, 2), 0);", (1, 9, "index 0 out of range for a list of 3")),
+        ("let w = witness(baudhayana(1), 2);", (1, 9, "index 2 out of range for 1 witness points")),
+        ("let w = witness(dani(1), -1);", (1, 9, "index -1 out of range for 8 witness points")),
+        ("let w = witness(dani(1), pi());", (1, 9, "index must be a number, got quantity")),
+        ("let w = witness(gupta(1), 1);", (1, 9, "this rule output has no witness points")),
+        ("let w = witness(gupta(1), 1/2);", (1, 9, "this rule output has no witness points")),
+        ("let x = div(1, point(0, 0));", (1, 9, "operand must be numeric, got point")),
+        ("let x = div(1, pi());", (1, 9, "divisor must be a number, got quantity")),
+        ("let x = div(point(0, 0), pi());", (1, 9, "operand must be numeric, got point")),
+        ("let x = div(pi(), 0);", (1, 9, "div(): division by zero")),
+        (f"let x = add({CIR}, 1);", (1, 9, "operand must be numeric, got circle")),
+        (f"let x = mul(1, divide({SEG}, 2));", (1, 9, "operand must be numeric, got list")),
+        ("let x = neg(baudhayana(1));", (1, 9, "operand must be numeric, got ruleoutput")),
+        ("let x = sub(1, -point(0, 0));", (1, 16, "operand must be numeric, got point")),
+        ("let h = hypotenuse(pi(), 1);", (1, 9, "length must be a number, got quantity")),
+        ("let h = hypotenuse(1, point(0, 0));", (1, 9, "width must be a number, got point")),
+        ("let out = baudhayana(pi());", (1, 11, "rule input must be a number, got quantity")),
+        (f"let out = baudhayana(divide({SEG}, 1));", (1, 11, "baudhayana takes a number or a figure")),
+        (f"let out = gupta({CIR});", (1, 11, "manava_gupta takes a side length or a square")),
+        (f"let out = van_gelder({CIR});", (1, 11, "manava_vangelder takes a side length or a square")),
+        ("let out = dani(point(0, 0));", (1, 11, "manava_dani takes a number or a figure")),
+        (f"let out = hayashi({SQ});", (1, 11, "hayashi takes a diameter or a circle")),
+        (f"let out = standard_12_17({SQ});", (1, 11, "standard_12_17 takes a diameter or a circle")),
+        (f"let out = double_diagonal({CIR});", (1, 11, "double_diagonal takes a side length or a square")),
+        ("let out = classical_3(0);", (1, 11, "classical_3(): input length must be positive")),
+        ("let a = area(point(0, 0));", (1, 9, "area() takes a square or a circle")),
+        (f"let a = area({SEG});", (1, 9, "area() takes a square or a circle")),
+        (f"let c = center(divide({SEG}, 1));", (1, 9, "center() takes a square or a circle")),
+        (f"let n = count({SQ});", (1, 9, "count() takes a list")),
+        ("let n = nth(pi(), 1);", (1, 9, "nth() takes a list")),
+        ("let x = pi(1);", (1, 9, "pi() takes 0 arguments, got 1")),
+        ("let x = sqrt(1, 2);", (1, 9, "sqrt() takes 1 argument, got 2")),
+        ("let x = point(1);", (1, 9, "point() takes 2 arguments, got 1")),
+        ("let x = gupta();", (1, 9, "gupta() takes 1 argument, got 0")),
+        ("let x = sqrt2_sulba(1);", (1, 9, "sqrt2_sulba() takes 0 arguments, got 1")),
+        ("let x = hypotenuse(3);", (1, 9, "hypotenuse() takes 2 arguments, got 1")),
+        ("let x = 1;\nassert point(x, x) == 1;", (2, 1, "left side of assertion must be numeric, got point")),
+        (f"assert 1 < {SQ};", (1, 1, "right side of assertion must be numeric, got square")),
+        ("assert gupta(1) > 1;", (1, 1, "left side of assertion must be numeric, got ruleoutput")),
+    ],
+)
+def test_vocabulary_diagnostics(source, expected):
+    assert diagnostics_of(source) == [expected]
+
+
 def test_rule_call_recentered_on_figure():
     script = parse_ok(
         "let s = square(point(3, 4), 1/2);"
