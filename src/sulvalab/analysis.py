@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .catalog import CATALOG, Rule, RuleOutput, lookup
+from .catalog import CATALOG, KINDS, Rule, RuleOutput, lookup
 from .exactreal import (
     Coercible,
     ConstructibleReal,
@@ -44,8 +44,8 @@ __all__ = [
     "reports_to_json",
 ]
 
-PI_KINDS = ("circumference", "circle-from-square", "square-from-circle")
-ERROR_KINDS = PI_KINDS + ("inscribed-square", "constant")
+PI_KINDS = tuple(name for name, kind in KINDS.items() if kind.implies_pi)
+ERROR_KINDS = tuple(name for name, kind in KINDS.items() if kind.error)
 
 REPORTING_WIDTH_PERCENT = Fraction(1, 10**6)
 
@@ -80,14 +80,6 @@ class RuleReport:
         return self.relative_error_percent.midpoint()
 
 
-def _basis(kind: str) -> str:
-    if kind in ("circle-from-square", "square-from-circle", "doubling"):
-        return "area"
-    if kind == "circumference":
-        return "circumference"
-    return "length"
-
-
 def implied_pi(rule_id: str, at: Coercible = 1) -> ConstructibleReal:
     """The circumference/area ratio that would make the rule exact.
 
@@ -112,16 +104,11 @@ def _implied_pi(rule_id: str, out: RuleOutput) -> ConstructibleReal:
 
 
 def _error_operands(rule: Rule, out: RuleOutput) -> tuple[Quantity, Quantity]:
-    """(approx, true) for the signed relative error of a rule."""
-    if rule.kind in ("circle-from-square", "square-from-circle"):
+    """(approx, true) for the signed relative error of a rule whose kind
+    has an error target."""
+    if KINDS[rule.kind].error == "actual":
         return out.actual, out.claimed
-    if rule.kind == "circumference":
-        return out.claimed, out.actual
-    if rule.kind == "inscribed-square":
-        return out.actual, out.claimed
-    if rule.kind == "constant":
-        return out.claimed, out.actual
-    raise NotApplicableError(f"rule kind {rule.kind!r} has no error target")
+    return out.claimed, out.actual
 
 
 def relative_error(rule_id: str, precision_bits: int = 128) -> Interval:
@@ -164,7 +151,7 @@ def report_for(rule_id: str, precision_bits: int = 128) -> RuleReport:
         kind=rule.kind,
         citation=rule.citation,
         description=rule.description,
-        basis=_basis(rule.kind),
+        basis=KINDS[rule.kind].basis,
         implied_pi_exact=pi_exact,
         implied_pi_interval=pi_interval,
         relative_error_percent=error,

@@ -11,12 +11,12 @@ package exists to make.
 
 Every rule is homogeneous: at input length ``k`` its figures are the
 unit-size figures scaled by ``k``, and its ``claimed`` and ``actual``
-values scale as ``k**KINDS[kind]`` (``k**2`` for areas, ``k`` for lengths
-and ratios).  So each entry holds only its construction at input length 1,
-and :meth:`Rule.run` scales and places that for any size and center.  The
-unit construction is built once, on the rule's first run, and shared by
-every later run; a placed output scales the values at once and maps the
-figures only on first access.
+values scale as ``k**KINDS[kind].degree`` (``k**2`` for areas, ``k`` for
+lengths and ratios).  So each entry holds only its construction at input
+length 1, and :meth:`Rule.run` scales and places that for any size and
+center.  The unit construction is built once, on the rule's first run, and
+shared by every later run; a placed output scales the values at once and
+maps the figures only on first access.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .geom import (
 __all__ = [
     "CATALOG",
     "KINDS",
+    "Kind",
     "Rule",
     "RuleOutput",
     "UnknownRuleError",
@@ -63,15 +64,26 @@ __all__ = [
     "sqrt2_sulba_constant",
 ]
 
-# rule kind -> degree in the input length of its claimed and actual values
-KINDS: dict[str, int] = {
-    "circle-from-square": 2,
-    "square-from-circle": 2,
-    "circumference": 1,
-    "inscribed-square": 1,
-    "constant": 1,
-    "doubling": 2,
-    "hypotenuse": 1,
+@dataclass(frozen=True)
+class Kind:
+    """What every rule of one kind means."""
+
+    degree: int  # claimed and actual scale as the input length to this power
+    takes: Optional[type]  # the figure (Square, Circle) a call reads its input length from
+    basis: str  # what the values measure: "area", "circumference" or "length"
+    implies_pi: bool = False  # claimed against actual implies a value of pi
+    error: Optional[str] = None  # "claimed" or "actual", whichever approximates the other
+
+
+# rule kind -> its meaning: the one place each kind is declared
+KINDS: dict[str, Kind] = {
+    "circle-from-square": Kind(2, Square, "area", implies_pi=True, error="actual"),
+    "square-from-circle": Kind(2, Circle, "area", implies_pi=True, error="actual"),
+    "circumference": Kind(1, Circle, "circumference", implies_pi=True, error="claimed"),
+    "inscribed-square": Kind(1, Circle, "length", error="actual"),
+    "constant": Kind(1, None, "length", error="claimed"),
+    "doubling": Kind(2, Square, "area"),
+    "hypotenuse": Kind(1, None, "length"),
 }
 
 
@@ -142,7 +154,7 @@ class Rule:
 
         Every point ``p`` of the unit construction maps to
         ``size*p + center``, and ``claimed`` and ``actual`` scale by
-        ``size**KINDS[kind]``.  The unit output is built once, on the
+        ``size**KINDS[kind].degree``.  The unit output is built once, on the
         rule's first run, and shared: at size 1 on the origin it is
         returned itself, and elsewhere the output maps its figures and
         witness points from it on first access.
@@ -156,7 +168,7 @@ class Rule:
             return unit
         claimed, actual = unit.claimed, unit.actual
         if not unit_size:
-            factor = k ** KINDS[self.kind]
+            factor = k ** KINDS[self.kind].degree
             claimed, actual = claimed.scale(factor), actual.scale(factor)
         placed = RuleOutput.__new__(RuleOutput)
         vars(placed).update(claimed=claimed, actual=actual, _placement=(unit, k, center))

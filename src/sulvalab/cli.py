@@ -281,7 +281,7 @@ def render_command(
     try:
         options = svg_render.RenderOptions(
             size=size,
-            label_digits=min(digits, 12),
+            label_digits=digits,
             show_labels=labels,
             show_witness_points=not no_witness_points,
         )

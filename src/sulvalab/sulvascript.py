@@ -39,7 +39,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable, NamedTuple, Optional, TypeVar, Union
+from operator import attrgetter
+from typing import Callable, NamedTuple, Optional, Sequence, TypeVar, Union
 
 from . import catalog
 from .exactreal import (
@@ -63,6 +64,7 @@ from .geom import (
     circumscribed_circle,
     distance_squared,
     divide_segment,
+    point,
     square_area,
     trisector_lines,
     vertical_line_circle_intersection,
@@ -512,10 +514,10 @@ class _Parser:
             self.advance()
             assert denom_token.value is not None
             denom = denom_token.value
-            if denom.denominator != 1 or value.denominator != 1:
+            if value.denominator != 1 or denom.denominator != 1:
                 self.error(
                     "rational literals take integer parts, like 17/12",
-                    denom_token,
+                    token if value.denominator != 1 else denom_token,
                 )
                 raise _SyntaxAbort
             if denom == 0:
@@ -527,10 +529,11 @@ class _Parser:
     def close_call(self, name_token: _Token, args: list[Expr]) -> Call:
         """Check a call whose ``)`` was just read against the vocabulary."""
         name = name_token.text
-        arity, _ = _VOCABULARY.get(name, (None, None))
-        if arity is None:
+        parameters, _ = _VOCABULARY.get(name, (None, None))
+        if parameters is None:
             self.error(f"unknown name {name!r}", name_token)
-        elif arity != len(args):
+        elif len(parameters) != len(args):
+            arity = len(parameters)
             self.error(
                 f"{name}() takes {arity} argument{'s' if arity != 1 else ''}, "
                 f"got {len(args)}",
@@ -604,53 +607,80 @@ class _EvalError(Exception):
         self.limit = limit
 
 
-def _need_number(value: Value, what: str) -> ConstructibleReal:
-    if isinstance(value, ConstructibleReal):
-        return value
-    if isinstance(value, Quantity) and value.is_constant():
-        return value.c0
-    raise _EvalError(f"{what} must be a number, got {_kind_name(value)}")
-
-
-def _need_quantityish(value: Value, what: str) -> Quantity:
-    if isinstance(value, Quantity):
-        return value
-    if isinstance(value, ConstructibleReal):
-        return Quantity(value, 0)
-    raise _EvalError(f"{what} must be numeric, got {_kind_name(value)}")
-
-
-def _need(value: Value, cls: type, what: str):
-    if not isinstance(value, cls):
-        raise _EvalError(
-            f"{what} must be a {cls.__name__.lower()}, got {_kind_name(value)}"
-        )
-    return value
-
-
-def _need_index(value: Value, what: str) -> int:
-    number = _need_number(value, what)
-    frac = number.as_fraction() if number.is_rational() else None
-    if frac is None or frac.denominator != 1:
-        raise _EvalError(f"{what} must be an integer")
-    return int(frac)
-
-
 def _kind_name(value: Value) -> str:
     if isinstance(value, ConstructibleReal):
         return "number"
     if isinstance(value, Quantity):
         return "quantity"
+    if isinstance(value, catalog.RuleOutput):
+        return "rule output"
     if isinstance(value, list):
         return "list"
     return type(value).__name__.lower()
 
 
-def _numeric_binop(op: str, a: Value, b: Value) -> Value:
+# parameter kinds that admit the values of one class as they are
+_CLASSES: dict[str, type] = {
+    "point": Point,
+    "segment": Segment,
+    "square": Square,
+    "circle": Circle,
+    "rule output": catalog.RuleOutput,
+}
+
+
+def _argument(kind: str, label: str, value: Value) -> object:
+    """``value`` as a ``kind`` parameter, which the builtin calls ``label``.
+
+    A "number" admits a constant quantity, "numeric" admits both, an
+    "integer" is a whole number, "witnesses" are a rule output's witness
+    points, a "figure" is a square or a circle, and a "rule input" is a
+    number or a figure, which :func:`_rule_input` checks against the rule.
+    """
+    if kind == "number":
+        if isinstance(value, ConstructibleReal):
+            return value
+        if isinstance(value, Quantity) and value.is_constant():
+            return value.c0
+        raise _EvalError(f"{label} must be a number, got {_kind_name(value)}")
+    if kind == "numeric":
+        if isinstance(value, Quantity):
+            return value
+        if isinstance(value, ConstructibleReal):
+            return Quantity(value, 0)
+        raise _EvalError(f"{label} must be numeric, got {_kind_name(value)}")
+    cls = _CLASSES.get(kind)
+    if cls is not None:
+        if isinstance(value, cls):
+            return value
+        raise _EvalError(f"{label} must be a {kind}, got {_kind_name(value)}")
+    if kind == "integer":
+        number = _argument("number", label, value)
+        frac = number.as_fraction() if number.is_rational() else None
+        if frac is None or frac.denominator != 1:
+            raise _EvalError(f"{label} must be an integer")
+        return int(frac)
+    if kind == "witnesses":
+        points = _argument("rule output", label, value).witness_points
+        if points is None:
+            raise _EvalError("this rule output has no witness points")
+        return points
+    if kind == "list":
+        if isinstance(value, list):
+            return value
+        raise _EvalError(f"{label} takes a list")
+    if isinstance(value, (Square, Circle)):  # kind "figure" or "rule input"
+        return value
+    if kind == "figure":
+        raise _EvalError(f"{label} takes a square or a circle")
+    if isinstance(value, (ConstructibleReal, Quantity)):
+        return _argument("number", "rule input", value)
+    raise _EvalError(f"{label} takes a number or a figure")
+
+
+def _numeric_binop(op: str, qa: Quantity, qb: Quantity) -> Value:
     # quantities and numbers mix freely; pi**2 products are rejected by the
     # quantity layer itself
-    qa = _need_quantityish(a, "operand")
-    qb = _need_quantityish(b, "operand")
     if op == "add":
         result = qa + qb
     elif op == "sub":
@@ -658,7 +688,7 @@ def _numeric_binop(op: str, a: Value, b: Value) -> Value:
     elif op == "mul":
         result = qa * qb
     else:
-        result = qa.scale(1 / _need_number(b, "divisor"))
+        result = qa.scale(1 / _argument("number", "divisor", qb))
     return _bounded(op, result.c0 if result.is_constant() else result)
 
 
@@ -689,19 +719,19 @@ def _bounded(name: str, value: _NumberT) -> _NumberT:
     return value
 
 
-def _rule_input(rule: catalog.Rule, value: Value) -> tuple[ConstructibleReal, Point]:
-    origin = Point(constructible(0), constructible(0))
-    if isinstance(value, (ConstructibleReal, Quantity)):
-        return _need_number(value, "rule input"), origin
-    if isinstance(value, Square):
-        if rule.kind in ("circle-from-square", "doubling"):
-            return value.side, value.center
-        raise _EvalError(f"{rule.id} takes a diameter or a circle")
-    if isinstance(value, Circle):
-        if rule.kind in ("circumference", "inscribed-square", "square-from-circle"):
-            return value.radius * 2, value.center
-        raise _EvalError(f"{rule.id} takes a side length or a square")
-    raise _EvalError(f"{rule.id} takes a number or a figure")
+def _rule_input(
+    rule: catalog.Rule, value: Union[ConstructibleReal, Square, Circle]
+) -> tuple[ConstructibleReal, Point]:
+    """The input length and the center of a call of ``rule`` on ``value``."""
+    if isinstance(value, ConstructibleReal):
+        return value, point(0, 0)
+    takes = catalog.KINDS[rule.kind].takes
+    if takes is Square and isinstance(value, Square):
+        return value.side, value.center
+    if takes is Circle and isinstance(value, Circle):
+        return value.radius * 2, value.center
+    what = {Square: "a side length or a square", Circle: "a diameter or a circle"}
+    raise _EvalError(f"{rule.id} takes {what.get(takes, 'a number')}")
 
 
 def _call_rule(name: str, rule: catalog.Rule, value: Value) -> catalog.RuleOutput:
@@ -711,9 +741,7 @@ def _call_rule(name: str, rule: catalog.Rule, value: Value) -> catalog.RuleOutpu
     return out
 
 
-def _divide(s: Value, n: Value) -> list[Point]:
-    segment = _need(s, Segment, "argument")
-    parts = _need_index(n, "part count")
+def _divide(segment: Segment, parts: int) -> list[Point]:
     if parts > MAX_PARTS:
         message = f"divide() takes at most {MAX_PARTS} parts, got {parts}"
         raise _EvalError(message, limit=True)
@@ -727,147 +755,84 @@ def _horizontal_intersections(y0: ConstructibleReal, circle: Circle) -> list[Poi
     ]
 
 
-def _negate(value: Value) -> Value:
-    q = _need_quantityish(value, "operand")
-    return -q.c0 if q.is_constant() else -q
+def _area(figure: Union[Square, Circle]) -> Quantity:
+    area = square_area(figure) if isinstance(figure, Square) else circle_area(figure)
+    return _bounded("area", area)
 
 
-def _center(figure: Value) -> Point:
-    if isinstance(figure, (Square, Circle)):
-        return figure.center
-    raise _EvalError("center() takes a square or a circle")
-
-
-def _area(figure: Value) -> Quantity:
-    if isinstance(figure, Square):
-        return _bounded("area", square_area(figure))
-    if isinstance(figure, Circle):
-        return _bounded("area", circle_area(figure))
-    raise _EvalError("area() takes a square or a circle")
-
-
-def _nth(items: Value, position: Value) -> Value:
-    if not isinstance(items, list):
-        raise _EvalError("nth() takes a list")
-    index = _need_index(position, "index")
+def _item(whole: str, items: Sequence[Value], index: int) -> Value:
+    """Item ``index`` of ``items``, counted from 1; ``whole`` describes
+    ``len(items)`` items in the message for an index out of range."""
     if not 1 <= index <= len(items):
-        raise _EvalError(f"index {index} out of range for a list of {len(items)}")
+        raise _EvalError(f"index {index} out of range for {whole.format(len(items))}")
     return items[index - 1]
-
-
-def _count(items: Value) -> ConstructibleReal:
-    if not isinstance(items, list):
-        raise _EvalError("count() takes a list")
-    return constructible(len(items))
-
-
-def _witness(value: Value, position: Value) -> Point:
-    out = _need(value, catalog.RuleOutput, "rule output")
-    if out.witness_points is None:
-        raise _EvalError("this rule output has no witness points")
-    index = _need_index(position, "index")
-    if not 1 <= index <= len(out.witness_points):
-        raise _EvalError(
-            f"index {index} out of range for {len(out.witness_points)} "
-            "witness points"
-        )
-    return out.witness_points[index - 1]
 
 
 # -- vocabulary -----------------------------------------------------------------
 
-# name -> (arity, implementation) of every callable: the parser checks calls
-# against it and the evaluator dispatches through it
-_VOCABULARY: dict[str, tuple[int, Callable[..., Value]]] = {
-    "add": (2, partial(_numeric_binop, "add")),
-    "sub": (2, partial(_numeric_binop, "sub")),
-    "mul": (2, partial(_numeric_binop, "mul")),
-    "div": (2, partial(_numeric_binop, "div")),
-    "neg": (1, _negate),
-    "sqrt": (1, lambda x: sqrt(_need_number(x, "sqrt argument"))),
-    "pi": (0, lambda: Quantity(0, 1)),
-    "point": (
-        2,
-        lambda x, y: Point(
-            _need_number(x, "x coordinate"), _need_number(y, "y coordinate")
-        ),
-    ),
-    "segment": (
-        2,
-        lambda a, b: Segment(
-            _need(a, Point, "segment start"), _need(b, Point, "segment end")
-        ),
-    ),
-    "square": (
-        2,
-        lambda c, h: Square(
-            _need(c, Point, "square center"), _need_number(h, "half side")
-        ),
-    ),
-    "circle": (
-        2,
-        lambda c, r: Circle(
-            _need(c, Point, "circle center"), _need_number(r, "radius")
-        ),
-    ),
-    "center": (1, _center),
-    "midpoint": (1, lambda s: _need(s, Segment, "argument").midpoint()),
-    "radius": (1, lambda c: _need(c, Circle, "argument").radius),
-    "xcoord": (1, lambda p: _need(p, Point, "argument").x),
-    "ycoord": (1, lambda p: _need(p, Point, "argument").y),
-    "divide": (2, _divide),
-    "circumcircle": (1, lambda s: circumscribed_circle(_need(s, Square, "argument"))),
+_OPERANDS = (("numeric", "operand"), ("numeric", "operand"))
+
+# name -> (parameters, implementation) of every callable, the one
+# declaration of each builtin's parameters.  A parameter is (kind, label):
+# the parser checks a call's argument count against the parameters, and the
+# evaluator converts each argument with _argument, left to right, and then
+# calls the implementation on the converted values.
+_VOCABULARY: dict[str, tuple[tuple[tuple[str, str], ...], Callable[..., Value]]] = {
+    "add": (_OPERANDS, partial(_numeric_binop, "add")),
+    "sub": (_OPERANDS, partial(_numeric_binop, "sub")),
+    "mul": (_OPERANDS, partial(_numeric_binop, "mul")),
+    "div": (_OPERANDS, partial(_numeric_binop, "div")),
+    "neg": (_OPERANDS[:1], lambda q: -q.c0 if q.is_constant() else -q),
+    "sqrt": ((("number", "sqrt argument"),), sqrt),
+    "pi": ((), lambda: Quantity(0, 1)),
+    "point": ((("number", "x coordinate"), ("number", "y coordinate")), Point),
+    "segment": ((("point", "segment start"), ("point", "segment end")), Segment),
+    "square": ((("point", "square center"), ("number", "half side")), Square),
+    "circle": ((("point", "circle center"), ("number", "radius")), Circle),
+    "center": ((("figure", "center()"),), attrgetter("center")),
+    "midpoint": ((("segment", "argument"),), Segment.midpoint),
+    "radius": ((("circle", "argument"),), attrgetter("radius")),
+    "xcoord": ((("point", "argument"),), attrgetter("x")),
+    "ycoord": ((("point", "argument"),), attrgetter("y")),
+    "divide": ((("segment", "argument"), ("integer", "part count")), _divide),
+    "circumcircle": ((("square", "argument"),), circumscribed_circle),
     "trisectors_vertical": (
-        1,
-        lambda s: list(trisector_lines(_need(s, Square, "argument"), "vertical")),
+        (("square", "argument"),),
+        lambda s: list(trisector_lines(s, "vertical")),
     ),
     "trisectors_horizontal": (
-        1,
-        lambda s: list(trisector_lines(_need(s, Square, "argument"), "horizontal")),
+        (("square", "argument"),),
+        lambda s: list(trisector_lines(s, "horizontal")),
     ),
     "intersect_vertical": (
-        2,
-        lambda x, c: vertical_line_circle_intersection(
-            _need_number(x, "line abscissa"), _need(c, Circle, "circle")
-        ),
+        (("number", "line abscissa"), ("circle", "circle")),
+        vertical_line_circle_intersection,
     ),
     "intersect_horizontal": (
-        2,
-        lambda y, c: _horizontal_intersections(
-            _need_number(y, "line ordinate"), _need(c, Circle, "circle")
-        ),
+        (("number", "line ordinate"), ("circle", "circle")),
+        _horizontal_intersections,
     ),
     "distance2": (
-        2,
-        lambda p, q: _bounded(
-            "distance2",
-            distance_squared(
-                _need(p, Point, "first point"), _need(q, Point, "second point")
-            ),
-        ),
+        (("point", "first point"), ("point", "second point")),
+        lambda p, q: _bounded("distance2", distance_squared(p, q)),
     ),
-    "area": (1, _area),
-    "circumference": (
-        1,
-        lambda c: circle_circumference_true(_need(c, Circle, "argument")),
+    "area": ((("figure", "area()"),), _area),
+    "circumference": ((("circle", "argument"),), circle_circumference_true),
+    "nth": ((("list", "nth()"), ("integer", "index")), partial(_item, "a list of {}")),
+    "count": ((("list", "count()"),), lambda items: constructible(len(items))),
+    "claimed": ((("rule output", "argument"),), attrgetter("claimed")),
+    "actual": ((("rule output", "argument"),), attrgetter("actual")),
+    "witness": (
+        (("witnesses", "rule output"), ("integer", "index")),
+        partial(_item, "{} witness points"),
     ),
-    "nth": (2, _nth),
-    "count": (1, _count),
-    "claimed": (1, lambda o: _need(o, catalog.RuleOutput, "argument").claimed),
-    "actual": (1, lambda o: _need(o, catalog.RuleOutput, "argument").actual),
-    "witness": (2, _witness),
-    "hypotenuse": (
-        2,
-        lambda a, b: catalog.hypotenuse(
-            _need_number(a, "length"), _need_number(b, "width")
-        ),
-    ),
-    "sqrt2_sulba": (0, catalog.sqrt2_sulba_constant),
+    "hypotenuse": ((("number", "length"), ("number", "width")), catalog.hypotenuse),
+    "sqrt2_sulba": ((), catalog.sqrt2_sulba_constant),
 }
-# every catalog rule id and alias that is not a builtin takes one argument
+# every catalog rule id and alias that is not a builtin takes a number or a figure
 _VOCABULARY.update(
-    (name, (1, partial(_call_rule, name, catalog.lookup(name))))
-    for name in (*catalog.rule_ids(), *catalog._ALIASES)
+    (name, ((("rule input", rule.id),), partial(_call_rule, name, rule)))
+    for name, rule in [(n, catalog.lookup(n)) for n in (*catalog.rule_ids(), *catalog._ALIASES)]
     if name not in _VOCABULARY
 )
 
@@ -891,7 +856,10 @@ class _Evaluator:
 
     def eval_call(self, expr: Call, args: list) -> Value:
         try:
-            return _VOCABULARY[expr.name][1](*args)
+            parameters, implementation = _VOCABULARY[expr.name]
+            return implementation(
+                *[_argument(kind, label, arg) for (kind, label), arg in zip(parameters, args)]
+            )
         except _EvalError as exc:
             raise _EvalAbort(
                 Diagnostic("error", exc.message, expr.line, expr.column, exc.limit)
@@ -921,8 +889,8 @@ class _Evaluator:
         left = self.eval_expr(stmt.left)
         right = self.eval_expr(stmt.right)
         try:
-            lq = _need_quantityish(left, "left side of assertion")
-            rq = _need_quantityish(right, "right side of assertion")
+            lq = _argument("numeric", "left side of assertion", left)
+            rq = _argument("numeric", "right side of assertion", right)
         except _EvalError as exc:
             raise _EvalAbort(
                 Diagnostic("error", exc.message, stmt.line, stmt.column)

@@ -113,6 +113,20 @@ def test_error_not_applicable():
             relative_error(rule_id)
 
 
+def test_kinds_with_pi_and_error_meanings():
+    from sulvalab import analysis
+
+    assert set(analysis.PI_KINDS) == {
+        "circumference",
+        "circle-from-square",
+        "square-from-circle",
+    }
+    assert set(analysis.ERROR_KINDS) == set(analysis.PI_KINDS) | {
+        "inscribed-square",
+        "constant",
+    }
+
+
 def test_error_sign_correctness():
     overestimates = ("manava_16_5", "sqrt2_sulba", "baudhayana",
                      "jaina_sqrt10", "manava_gupta", "manava_vangelder")

@@ -280,6 +280,17 @@ def test_render_repeat_identical_bytes():
     assert a.stdout == b.stdout
 
 
+@pytest.mark.parametrize("digits", [12, 20])
+def test_render_labels_take_the_requested_digits(digits):
+    result = invoke("render", "manava_dani", "--labels", "--digits", str(digits))
+    assert result.exit_code == 0
+    labels = re.findall(r'class="label"[^>]*>\(([^,]*), ([^)]*)\)<', result.stdout)
+    assert len(labels) == 8
+    for x, y in labels:
+        assert re.fullmatch(rf"-?0\.\d{{{digits}}}…", x), x
+        assert re.fullmatch(rf"-?0\.\d{{{digits}}}…", y), y
+
+
 def test_render_rule_without_figures_exits_2():
     result = invoke("render", "sqrt2_sulba")
     assert result.exit_code == 2

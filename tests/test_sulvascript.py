@@ -283,8 +283,9 @@ def diagnostics_of(source: str) -> list:
         ("assert 1 = 2;", (1, 10, "expected '==', '<' or '>' in assertion")),
         ("emit 1;", (1, 6, "expected an identifier in 'emit'")),
         ("let x = 1/;", (1, 11, "expected a denominator")),
-        ("let x = 1.5/2;", (1, 13, "rational literals take integer parts, like 17/12")),
+        ("let x = 1.5/2;", (1, 9, "rational literals take integer parts, like 17/12")),
         ("x = 1;", (1, 1, "expected a statement ('let', 'assert' or 'emit')")),
+        ("let x = 1/2.5;", (1, 11, "rational literals take integer parts, like 17/12")),
     ],
 )
 def test_positioned_diagnostics(source, expected):
@@ -320,9 +321,9 @@ CIR = "circle(point(0, 0), 1)"
         ("let t = trisectors_horizontal(1);", (1, 9, "argument must be a square, got number")),
         (f"let c = circumference({SQ});", (1, 9, "argument must be a circle, got square")),
         ("let y = ycoord(1/2);", (1, 9, "argument must be a point, got number")),
-        ("let x = claimed(1);", (1, 9, "argument must be a ruleoutput, got number")),
-        ("let x = sqrt(baudhayana(1));", (1, 9, "sqrt argument must be a number, got ruleoutput")),
-        ("let w = witness(1, 1);", (1, 9, "rule output must be a ruleoutput, got number")),
+        ("let x = claimed(1);", (1, 9, "argument must be a rule output, got number")),
+        ("let x = sqrt(baudhayana(1));", (1, 9, "sqrt argument must be a number, got rule output")),
+        ("let w = witness(1, 1);", (1, 9, "rule output must be a rule output, got number")),
         (f"let n = divide({SEG}, pi());", (1, 9, "part count must be a number, got quantity")),
         (f"let n = divide({SEG}, 1/2);", (1, 9, "part count must be an integer")),
         (f"let n = divide(1, {SEG});", (1, 9, "argument must be a segment, got number")),
@@ -341,7 +342,7 @@ CIR = "circle(point(0, 0), 1)"
         ("let x = div(pi(), 0);", (1, 9, "div(): division by zero")),
         (f"let x = add({CIR}, 1);", (1, 9, "operand must be numeric, got circle")),
         (f"let x = mul(1, divide({SEG}, 2));", (1, 9, "operand must be numeric, got list")),
-        ("let x = neg(baudhayana(1));", (1, 9, "operand must be numeric, got ruleoutput")),
+        ("let x = neg(baudhayana(1));", (1, 9, "operand must be numeric, got rule output")),
         ("let x = sub(1, -point(0, 0));", (1, 16, "operand must be numeric, got point")),
         ("let h = hypotenuse(pi(), 1);", (1, 9, "length must be a number, got quantity")),
         ("let h = hypotenuse(1, point(0, 0));", (1, 9, "width must be a number, got point")),
@@ -367,11 +368,24 @@ CIR = "circle(point(0, 0), 1)"
         ("let x = hypotenuse(3);", (1, 9, "hypotenuse() takes 2 arguments, got 1")),
         ("let x = 1;\nassert point(x, x) == 1;", (2, 1, "left side of assertion must be numeric, got point")),
         (f"assert 1 < {SQ};", (1, 1, "right side of assertion must be numeric, got square")),
-        ("assert gupta(1) > 1;", (1, 1, "left side of assertion must be numeric, got ruleoutput")),
+        ("assert gupta(1) > 1;", (1, 1, "left side of assertion must be numeric, got rule output")),
     ],
 )
 def test_vocabulary_diagnostics(source, expected):
     assert diagnostics_of(source) == [expected]
+
+
+def test_a_rule_kind_without_a_figure_takes_only_numbers():
+    # builtins shadow both such rules, sqrt2_sulba and hypotenuse, so the
+    # check runs here directly
+    from sulvalab import catalog, sulvascript
+
+    square = evaluate(parse_ok(f"let s = {SQ};")).environment["s"]
+    for rule_id in ("sqrt2_sulba", "hypotenuse"):
+        rule = catalog.lookup(rule_id)
+        with pytest.raises(sulvascript._EvalError) as raised:
+            sulvascript._rule_input(rule, square)
+        assert raised.value.message == f"{rule_id} takes a number"
 
 
 def test_rule_call_recentered_on_figure():
