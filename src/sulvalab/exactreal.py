@@ -4,7 +4,8 @@ A :class:`ConstructibleReal` is an element of a dynamically grown tower of
 real quadratic extensions ``Q = F0 < F1 < ... < Fk`` where each level
 adjoins the square root of a positive element of the level below that is
 provably not a square there.  Elements are stored recursively as pairs
-``a + b*sqrt(d)`` with exact ``Fraction`` leaves, kept in a canonical form
+``a + b*sqrt(d)`` whose rational leaves are coprime ints ``num/den`` with
+``den > 0`` (``frac`` views one as a ``Fraction``), kept in a canonical form
 (a vanishing sqrt coefficient collapses the element to the lower level).
 Canonical form makes the zero test structural, which in turn makes
 :func:`sign` exact and terminating for every representable value.
@@ -42,7 +43,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Callable, NamedTuple, Optional, TypeVar, Union
 
 __all__ = [
@@ -195,28 +196,20 @@ def _int_str(n: int) -> str:
     return _int_str(high) + _int_str(low).rjust(half, "0")
 
 
-def _fraction_floor(value: Fraction, bits: int) -> Dyadic:
-    """Largest dyadic with about ``bits`` significant bits that is <= value."""
-    n, d = value.numerator, value.denominator
+def _fraction_floor(n: int, d: int, bits: int) -> Dyadic:
+    """Largest dyadic with about ``bits`` significant bits <= n/d (coprime, d > 0)."""
     if n == 0:
         return _DY_ZERO
     grid = n.bit_length() - d.bit_length() - bits
-    if grid >= 0:
-        q = n // (d << grid)
-    else:
-        q = (n << -grid) // d
+    q = n // (d << grid) if grid >= 0 else (n << -grid) // d
     return Dyadic.of(q, grid)
 
 
-def _fraction_ceil(value: Fraction, bits: int) -> Dyadic:
-    n, d = value.numerator, value.denominator
+def _fraction_ceil(n: int, d: int, bits: int) -> Dyadic:
     if n == 0:
         return _DY_ZERO
     grid = n.bit_length() - d.bit_length() - bits
-    if grid >= 0:
-        q = -((-n) // (d << grid))
-    else:
-        q = -(((-n) << -grid) // d)
+    q = -((-n) // (d << grid)) if grid >= 0 else -(((-n) << -grid) // d)
     return Dyadic.of(q, grid)
 
 
@@ -267,10 +260,6 @@ def _sqrt_ceil(x: Dyadic, bits: int) -> Dyadic:
 _Raw = tuple[Dyadic, Dyadic]
 
 
-def _riv_from_fraction(f: Fraction, bits: int) -> _Raw:
-    return _fraction_floor(f, bits), _fraction_ceil(f, bits)
-
-
 def _riv_add_mul(a: _Raw, b: _Raw, r: _Raw, bits: int) -> _Raw:
     """``a + b*r``: the product rounded outward to ``bits + 1`` bits, then the sum.
 
@@ -316,13 +305,24 @@ def _riv_mul(a: _Raw, b: _Raw, bits: int) -> _Raw:
     return _riv_add_mul(_RAW_ZERO, a, b, bits)
 
 
+def _quotient(x: Dyadic, y: Dyadic) -> tuple[int, int]:
+    """``x / y`` for ``y > 0`` as coprime ``(n, d)`` with ``d > 0``."""
+    shift = x.exp - y.exp
+    n, d = (x.man << shift, y.man) if shift >= 0 else (x.man, y.man << -shift)
+    g = gcd(n, d)
+    return n // g, d // g
+
+
 def _riv_div(a: _Raw, b: _Raw, bits: int) -> _Raw:
-    if b[0].man <= 0 <= b[1].man:
+    (a0, a1), (b0, b1) = a, b
+    if b0.man <= 0 <= b1.man:
         raise DomainError("interval division by an interval containing zero")
-    a0, a1 = a[0].as_fraction(), a[1].as_fraction()
-    b0, b1 = b[0].as_fraction(), b[1].as_fraction()
-    quotients = (a0 / b0, a0 / b1, a1 / b0, a1 / b1)
-    return _fraction_floor(min(quotients), bits), _fraction_ceil(max(quotients), bits)
+    if b1.man < 0:  # a/b = (-a)/(-b)
+        (a0, a1), (b0, b1) = (-a1, -a0), (-b1, -b0)
+    # over b > 0, each end of a goes over the end of b that moves it furthest out
+    lo = _quotient(a0, b1 if a0.man >= 0 else b0)
+    hi = _quotient(a1, b0 if a1.man >= 0 else b1)
+    return _fraction_floor(*lo, bits), _fraction_ceil(*hi, bits)
 
 
 def _riv_sqrt(a: _Raw, bits: int) -> _Raw:
@@ -477,8 +477,8 @@ class Interval:
         return self.hi.man < 0
 
     def __str__(self) -> str:
-        lo = _decimal_floor(self.lo.as_fraction(), 12)
-        hi = _decimal_ceil(self.hi.as_fraction(), 12)
+        lo = _format_scaled(_floor_scaled(self.lo, 10**12), 12)
+        hi = _format_scaled(-_floor_scaled(-self.hi, 10**12), 12)
         return f"[{lo}, {hi}]"
 
 
@@ -570,7 +570,7 @@ class Tower:
 
 
 _ROOT_EXTENSIONS: list[tuple["ConstructibleReal", "Tower"]] = []
-_ROOT_INDEX: dict[Fraction, Tower] = {}  # the same towers, by rational radicand
+_ROOT_INDEX: dict[tuple[int, int], Tower] = {}  # the same towers, by (num, den)
 
 # The per-tower root memo: tower -> (d, _riv_sqrt(d, _root_bits)) for the
 # radicand's enclosure d at working precision _root_bits.  It is emptied
@@ -604,10 +604,10 @@ def _extend(parent: Optional[Tower], radicand: "ConstructibleReal") -> Tower:
         )
     if parent is None:
         # root radicands are rationals: one lookup instead of a scan
-        assert radicand.frac is not None
-        tower = _ROOT_INDEX.get(radicand.frac)
+        key = radicand.num, radicand.den
+        tower = _ROOT_INDEX.get(key)
         if tower is None:
-            tower = _ROOT_INDEX[radicand.frac] = Tower(None, radicand)
+            tower = _ROOT_INDEX[key] = Tower(None, radicand)
             _ROOT_EXTENSIONS.append((radicand, tower))
         return tower
     for known, tower in parent._children:
@@ -633,8 +633,10 @@ def _is_ancestor(a: Optional[Tower], b: Optional[Tower]) -> bool:
 def _coerce(value: object) -> Optional["ConstructibleReal"]:
     if isinstance(value, ConstructibleReal):
         return value
-    if isinstance(value, (int, Fraction)):
-        return _rational(Fraction(value))
+    if isinstance(value, int):
+        return _rat(int(value), 1)  # a bool is an int, and prints as one
+    if isinstance(value, Fraction):
+        return _rat(value.numerator, value.denominator)
     return None
 
 
@@ -659,10 +661,12 @@ class ConstructibleReal:
     the raw constructor is internal.  Comparison operators decide exactly.
     """
 
-    __slots__ = ("tower", "frac", "a", "b", "_iv")
+    # rational: tower None, coprime num and den > 0, zero as 0/1; irrational: both 0
+    __slots__ = ("tower", "num", "den", "a", "b", "_iv")
 
     tower: Optional[Tower]
-    frac: Optional[Fraction]
+    num: int
+    den: int
     a: Optional["ConstructibleReal"]
     b: Optional["ConstructibleReal"]
 
@@ -686,13 +690,17 @@ class ConstructibleReal:
     def is_zero(self) -> bool:
         # canonical form collapses vanishing sqrt coefficients, so the
         # structural test is exact
-        return self.tower is None and self.frac == 0
+        return self.tower is None and self.num == 0
+
+    @property
+    def frac(self) -> Optional[Fraction]:
+        """The value of a rational node as a Fraction; None when irrational."""
+        return None if self.tower is not None else Fraction(self.num, self.den)
 
     def as_fraction(self) -> Fraction:
         if self.tower is not None:
             raise DomainError(f"{self} is irrational")
-        assert self.frac is not None
-        return self.frac
+        return Fraction(self.num, self.den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -766,9 +774,7 @@ class ConstructibleReal:
         enclosures that shrink to a nonzero real, so refinement ends.
         """
         if self.tower is None:
-            f = self.frac
-            assert f is not None
-            return (f > 0) - (f < 0)
+            return (self.num > 0) - (self.num < 0)
         return _refine(self._interval_raw, 32, _interval_sign)
 
     __eq__ = _comparison(_coerce, operator.eq)
@@ -796,8 +802,8 @@ class ConstructibleReal:
         if cached is not None and _riv_width_ok(cached[0], cached[1], bits):
             return cached
         if self.tower is None:
-            assert self.frac is not None
-            fresh = _riv_from_fraction(self.frac, bits)
+            n, d = self.num, self.den
+            fresh = _fraction_floor(n, d, bits), _fraction_ceil(n, d, bits)
         else:
             assert self.a is not None and self.b is not None
             a = self.a._interval_raw(bits)
@@ -814,10 +820,9 @@ class ConstructibleReal:
 
     def __str__(self) -> str:
         if self.tower is None:
-            # str(Fraction) raises past Python's int/str digit limit
-            frac = self.frac
-            num = _int_str(frac.numerator)
-            return num if frac.denominator == 1 else f"{num}/{_int_str(frac.denominator)}"
+            # str(int) raises past Python's int/str digit limit
+            num = _int_str(self.num)
+            return num if self.den == 1 else f"{num}/{_int_str(self.den)}"
         assert self.a is not None and self.b is not None
         return _sum_str(self.a, self.b, f"sqrt({self.tower.radicand})")
 
@@ -825,14 +830,26 @@ class ConstructibleReal:
         return f"ConstructibleReal({str(self)!r})"
 
 
-def _rational(value: Fraction) -> ConstructibleReal:
+def _rat(n: int, d: int) -> ConstructibleReal:
+    """The rational node ``n/d``, for coprime ``n`` and ``d > 0``."""
     x = object.__new__(ConstructibleReal)
     x.tower = None
-    x.frac = value
+    x.num = n
+    x.den = d
     x.a = None
     x.b = None
     x._iv = None
     return x
+
+
+def _rational(value: Fraction) -> ConstructibleReal:
+    return _rat(value.numerator, value.denominator)
+
+
+def _reduced(n: int, d: int) -> ConstructibleReal:
+    """The rational node ``n/d``, for ``d > 0``."""
+    g = gcd(n, d)
+    return _rat(n // g, d // g)
 
 
 def _raw_node(
@@ -841,7 +858,7 @@ def _raw_node(
     """Build a node without canonicalization; internal and test-only."""
     x = object.__new__(ConstructibleReal)
     x.tower = tower
-    x.frac = None
+    x.num = x.den = 0
     x.a = a
     x.b = b
     x._iv = None
@@ -854,8 +871,8 @@ def _node(tower: Tower, a: ConstructibleReal, b: ConstructibleReal) -> Construct
     return _raw_node(tower, a, b)
 
 
-_ZERO = _rational(Fraction(0))
-_ONE = _rational(Fraction(1))
+_ZERO = _rat(0, 1)
+_ONE = _rat(1, 1)
 
 
 def constructible(value: Coercible) -> ConstructibleReal:
@@ -946,8 +963,9 @@ def _embed_into(
 
 def _add(x: ConstructibleReal, y: ConstructibleReal) -> ConstructibleReal:
     if x.tower is None and y.tower is None:
-        assert x.frac is not None and y.frac is not None
-        return _rational(x.frac + y.frac)
+        if x.den == y.den:
+            return _reduced(x.num + y.num, x.den)
+        return _reduced(x.num * y.den + y.num * x.den, x.den * y.den)
     # share the other operand, memo and all, instead of copying its tree
     if y.is_zero():
         return x
@@ -970,7 +988,7 @@ def _sum_str(a: ConstructibleReal, b: ConstructibleReal, generator: str) -> str:
     if b_abs.tower is not None:
         term = f"({b_abs})*{generator}"
     else:
-        term = generator if b_abs.frac == 1 else f"{b_abs}*{generator}"
+        term = generator if b_abs.num == b_abs.den == 1 else f"{b_abs}*{generator}"
     if a.is_zero():
         return f"-{term}" if negative else term
     return f"{a}{' - ' if negative else ' + '}{term}"
@@ -978,8 +996,7 @@ def _sum_str(a: ConstructibleReal, b: ConstructibleReal, generator: str) -> str:
 
 def _neg(x: ConstructibleReal) -> ConstructibleReal:
     if x.tower is None:
-        assert x.frac is not None
-        return _rational(-x.frac)
+        return _rat(-x.num, x.den)
     assert x.a is not None and x.b is not None
     return _raw_node(x.tower, _neg(x.a), _neg(x.b))
 
@@ -990,8 +1007,10 @@ def _sub(x: ConstructibleReal, y: ConstructibleReal) -> ConstructibleReal:
 
 def _mul(x: ConstructibleReal, y: ConstructibleReal) -> ConstructibleReal:
     if x.tower is None and y.tower is None:
-        assert x.frac is not None and y.frac is not None
-        return _rational(x.frac * y.frac)
+        # cancel across first, so the product is already coprime
+        xn, xd, yn, yd = x.num, x.den, y.num, y.den
+        g, h = gcd(xn, yd), gcd(yn, xd)
+        return _rat((xn // g) * (yn // h), (xd // h) * (yd // g))
     if x.is_zero() or y.is_zero():
         return _ZERO
     x, y = _common(x, y)
@@ -1014,10 +1033,9 @@ def _mul(x: ConstructibleReal, y: ConstructibleReal) -> ConstructibleReal:
 
 def _inv(x: ConstructibleReal) -> ConstructibleReal:
     if x.tower is None:
-        assert x.frac is not None
-        if x.frac == 0:
+        if x.num == 0:
             raise DomainError("division by zero")
-        return _rational(1 / x.frac)
+        return _rat(x.den, x.num) if x.num > 0 else _rat(-x.den, -x.num)
     assert x.a is not None and x.b is not None
     # 1/(a + b*sqrt(d)) = (a - b*sqrt(d)) / (a^2 - d*b^2); the conjugate norm
     # of a canonical nonzero element is nonzero one level down
@@ -1034,7 +1052,7 @@ def _norm_is_zero(x: ConstructibleReal) -> bool:
     No library code calls it; the tests use it as an independent zero oracle.
     """
     if x.tower is None:
-        return x.frac == 0
+        return x.num == 0
     assert x.a is not None and x.b is not None
     d = x.tower.radicand
     norm = _sub(_mul(x.a, x.a), _mul(_mul(x.b, x.b), d))
@@ -1066,14 +1084,14 @@ def _square_part(value: int) -> tuple[int, int]:
     return s, v
 
 
-def _sqrt_rational(f: Fraction) -> ConstructibleReal:
-    n, d = f.numerator, f.denominator
+def _sqrt_rational(n: int, d: int) -> ConstructibleReal:
+    """sqrt(n/d) = (s/d)*sqrt(kernel), from n*d = s*s*kernel."""
     s, kernel = _square_part(n * d)
-    coefficient = Fraction(s, d)
+    coefficient = _reduced(s, d)
     if kernel == 1:
-        return _rational(coefficient)
-    tower = _extend(None, _rational(Fraction(kernel)))
-    return _node(tower, _ZERO, _rational(coefficient))
+        return coefficient
+    tower = _extend(None, _rat(kernel, 1))
+    return _node(tower, _ZERO, coefficient)
 
 
 def _sqrt_within(
@@ -1081,12 +1099,12 @@ def _sqrt_within(
 ) -> Optional[ConstructibleReal]:
     """A square root of ``x`` inside the field of ``tower``, if one exists."""
     if tower is None:
-        assert x.tower is None and x.frac is not None
-        if x.frac < 0:
+        assert x.tower is None
+        if x.num < 0:
             return None
-        rn, rd = isqrt(x.frac.numerator), isqrt(x.frac.denominator)
-        if rn * rn == x.frac.numerator and rd * rd == x.frac.denominator:
-            return _rational(Fraction(rn, rd))
+        rn, rd = isqrt(x.num), isqrt(x.den)
+        if rn * rn == x.num and rd * rd == x.den:
+            return _rat(rn, rd)
         return None
     d = tower.radicand
     if x.tower is not tower:
@@ -1109,13 +1127,13 @@ def _sqrt_within(
     if root_norm is None:
         return None
     for candidate_norm in (root_norm, _neg(root_norm)):
-        half = _mul(_add(x0, candidate_norm), _rational(Fraction(1, 2)))
+        half = _mul(_add(x0, candidate_norm), _rat(1, 2))
         if half.sign() <= 0:
             continue
         a = _sqrt_within(tower.parent, half)
         if a is None or a.is_zero():
             continue
-        b = _mul(x1, _inv(_mul(_rational(Fraction(2)), a)))
+        b = _mul(x1, _inv(_mul(_rat(2, 1), a)))
         candidate = _node(tower, a, b)
         if _sub(_mul(candidate, candidate), x).is_zero():
             return candidate
@@ -1131,8 +1149,7 @@ def sqrt(value: Coercible) -> ConstructibleReal:
     if s == 0:
         return _ZERO
     if x.tower is None:
-        assert x.frac is not None
-        return _sqrt_rational(x.frac)
+        return _sqrt_rational(x.num, x.den)
     found = _sqrt_within(x.tower, x)
     if found is not None:
         return found if found.sign() > 0 else _neg(found)
@@ -1147,15 +1164,14 @@ def sign(value: Coercible) -> int:
 def normalize(x: ConstructibleReal) -> ConstructibleReal:
     """Rebuild a value in canonical form (idempotent)."""
     if x.tower is None:
-        assert x.frac is not None
-        return _rational(x.frac)
+        return _rat(x.num, x.den)
     assert x.a is not None and x.b is not None
     return _node(x.tower, normalize(x.a), normalize(x.b))
 
 
 def structurally_equal(x: ConstructibleReal, y: ConstructibleReal) -> bool:
     if x.tower is None or y.tower is None:
-        return x.tower is None and y.tower is None and x.frac == y.frac
+        return x.tower is y.tower and x.num == y.num and x.den == y.den
     if x.tower is not y.tower:
         return False
     assert x.a is not None and x.b is not None
@@ -1167,7 +1183,13 @@ def enclose(value: Coercible, precision_bits: int) -> Interval:
     """Certified interval containing the value, at relative width 2**(1-p):
     the cell of a fixed dyadic grid that holds it (see :func:`_grid_cell`)."""
     x = constructible(value)
-    return _grid_cell(x._interval_raw, precision_bits, lambda g: (x - g.as_fraction()).sign())
+    return _grid_cell(x._interval_raw, precision_bits, lambda g: _sub(x, _grid_point(g)).sign())
+
+
+def _grid_point(g: Dyadic) -> ConstructibleReal:
+    """The rational node of a normalized dyadic (odd mantissa, so coprime)."""
+    man, exp = g
+    return _rat(man << exp, 1) if exp >= 0 else _rat(man, 1 << -exp)
 
 
 # --------------------------------------------------------------------------
@@ -1295,7 +1317,7 @@ class Quantity:
 
     def enclose(self, precision_bits: int) -> Interval:
         return _grid_cell(
-            self._interval_raw, precision_bits, lambda g: (self - g.as_fraction()).sign()
+            self._interval_raw, precision_bits, lambda g: (self - _grid_point(g)).sign()
         )
 
     # -- rendering ----------------------------------------------------------------
@@ -1314,7 +1336,7 @@ PI = Quantity(0, 1)
 
 def enclose_percent(num: Quantity, den: Quantity, precision_bits: int) -> Interval:
     """The grid cell of ``precision_bits`` holding ``100*num/den``."""
-    hundred = _riv_from_fraction(Fraction(100), 16)
+    hundred = Dyadic.of(100), Dyadic.of(100)
 
     # a nonzero den has enclosures apart from zero from some precision on
     def apart(lo: Dyadic, hi: Dyadic, bits: int) -> Optional[_Raw]:
@@ -1329,7 +1351,7 @@ def enclose_percent(num: Quantity, den: Quantity, precision_bits: int) -> Interv
 
     def sign_at(g: Dyadic) -> int:
         # 100*num/den - g has the sign of (100*num - g*den)*den
-        return (num.scale(100) - den.scale(g.as_fraction())).sign() * den.sign()
+        return (num.scale(100) - den.scale(_grid_point(g))).sign() * den.sign()
 
     return _grid_cell(percent, precision_bits, sign_at)
 
@@ -1338,14 +1360,16 @@ def enclose_percent(num: Quantity, den: Quantity, precision_bits: int) -> Interv
 # decimal rendering
 
 
-def _decimal_floor(value: Fraction, digits: int) -> str:
-    scaled = value * 10**digits
-    return _format_scaled(scaled.__floor__(), digits)
+def _floor_scaled(d: Dyadic, scale: int) -> int:
+    """``floor(d * scale)``; ``>>`` floors negative values too."""
+    man, exp = d
+    return man * scale << exp if exp >= 0 else man * scale >> -exp
 
 
-def _decimal_ceil(value: Fraction, digits: int) -> str:
-    scaled = value * 10**digits
-    return _format_scaled(scaled.__ceil__(), digits)
+def _nearest_scaled(d: Dyadic, scale: int) -> int:
+    """``floor(d * scale + 1/2)``, as ``(2*man*scale + 2**-exp) * 2**(exp - 1)``."""
+    man, exp = d
+    return man * scale << exp if exp >= 0 else ((man * scale << 1) + (1 << -exp)) >> (1 - exp)
 
 
 def _format_scaled(units: int, digits: int) -> str:
@@ -1356,15 +1380,16 @@ def _format_scaled(units: int, digits: int) -> str:
     return f"{sign_prefix}{text[:-digits]}.{text[-digits:]}"
 
 
-def _decimal_exact(value: Fraction, digits: int) -> str:
-    scaled = value * 10**digits
-    if scaled.denominator == 1:
-        text = _format_scaled(scaled.numerator, digits)
+def _decimal_exact(n: int, d: int, digits: int) -> str:
+    units, rest = divmod(n * 10**digits, d)
+    if rest == 0:
+        text = _format_scaled(units, digits)
         if "." in text:
             text = text.rstrip("0").rstrip(".")
         return text
-    # round half to even; exact, deterministic
-    return _format_scaled(round(scaled), digits) + "…"
+    # round half to even: up past the half, and at it from an odd units
+    units += 2 * rest + (units & 1) > d
+    return _format_scaled(units, digits) + "…"
 
 
 def to_decimal(value: Union[Coercible, Quantity], digits: int) -> str:
@@ -1383,16 +1408,15 @@ def to_decimal(value: Union[Coercible, Quantity], digits: int) -> str:
     else:
         x = constructible(value)
         if x.tower is None:
-            return _decimal_exact(x.as_fraction(), digits)
+            return _decimal_exact(x.num, x.den, digits)
         encloser = x._interval_raw
     # irrational, so on no rounding boundary: refine until both ends agree
     scale = 10**digits
 
-    def nearest(d: Dyadic) -> int:
-        return (d.as_fraction() * scale + Fraction(1, 2)).__floor__()
-
     def decide(lo: Dyadic, hi: Dyadic, bits: int) -> Optional[str]:
-        n_lo = nearest(lo)
-        return _format_scaled(n_lo, digits) + "…" if n_lo == nearest(hi) else None
+        n_lo = _nearest_scaled(lo, scale)
+        return _format_scaled(n_lo, digits) + "…" if n_lo == _nearest_scaled(hi, scale) else None
 
-    return _refine(encloser, 64, decide)
+    # 10/3 > log2(10): start where a round can reach the last digit; the
+    # answer is the same from any start, only the number of rounds changes
+    return _refine(encloser, 64 + digits * 10 // 3, decide)

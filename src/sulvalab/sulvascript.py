@@ -710,7 +710,7 @@ def _bounded(name: str, value: _NumberT) -> _NumberT:
         if x.tower is not None:
             pending += (x.a, x.b)
             continue
-        for n in (x.frac.numerator, x.frac.denominator):
+        for n in (x.num, x.den):
             if n.bit_length() >= _VALUE_BOUND_BITS and abs(n) >= _VALUE_BOUND:
                 message = (
                     f"{name}() gives a number longer than {MAX_VALUE_DIGITS} digits"
@@ -762,9 +762,12 @@ def _area(figure: Union[Square, Circle]) -> Quantity:
 
 def _item(whole: str, items: Sequence[Value], index: int) -> Value:
     """Item ``index`` of ``items``, counted from 1; ``whole`` describes
-    ``len(items)`` items in the message for an index out of range."""
+    ``len(items)`` items in the message for an index out of range, formatted
+    with the count and a plural ending."""
     if not 1 <= index <= len(items):
-        raise _EvalError(f"index {index} out of range for {whole.format(len(items))}")
+        count = len(items)
+        described = whole.format(count, "" if count == 1 else "s")
+        raise _EvalError(f"index {index} out of range for {described}")
     return items[index - 1]
 
 
@@ -824,7 +827,7 @@ _VOCABULARY: dict[str, tuple[tuple[tuple[str, str], ...], Callable[..., Value]]]
     "actual": ((("rule output", "argument"),), attrgetter("actual")),
     "witness": (
         (("witnesses", "rule output"), ("integer", "index")),
-        partial(_item, "{} witness points"),
+        partial(_item, "{} witness point{}"),
     ),
     "hypotenuse": ((("number", "length"), ("number", "width")), catalog.hypotenuse),
     "sqrt2_sulba": ((), catalog.sqrt2_sulba_constant),

@@ -558,6 +558,20 @@ def test_to_decimal_exact_rational():
 def test_to_decimal_rounded_rational():
     assert to_decimal(Fraction(13, 15), 6) == "0.866667…"
     assert to_decimal(Fraction(1, 3), 3) == "0.333…"
+    # ties round half to even, on both sides of zero
+    for value, digits, text in [
+        (Fraction(5, 2), 0, "2…"),
+        (Fraction(7, 2), 0, "4…"),
+        (Fraction(-5, 2), 0, "-2…"),
+        (Fraction(-7, 2), 0, "-4…"),
+        (Fraction(1, 8), 2, "0.12…"),
+        (Fraction(3, 8), 2, "0.38…"),
+        (Fraction(-1, 8), 2, "-0.12…"),
+        (Fraction(-3, 8), 2, "-0.38…"),
+    ]:
+        assert to_decimal(value, digits) == text
+    assert to_decimal(Fraction(-2, 3), 0) == "-1…"
+    assert to_decimal(Fraction(-1, 3), 0) == "0…"
 
 
 def test_to_decimal_irrational():

@@ -21,17 +21,32 @@ from sulvalab.exactreal import Dyadic, sqrt, structurally_equal
 # -- interval kernels -----------------------------------------------------------
 
 
+def floor_of(f: Fraction, bits):
+    return er._fraction_floor(f.numerator, f.denominator, bits)
+
+
+def ceil_of(f: Fraction, bits):
+    return er._fraction_ceil(f.numerator, f.denominator, bits)
+
+
 def ref_add(a, b, bits):
     lo = a[0].as_fraction() + b[0].as_fraction()
     hi = a[1].as_fraction() + b[1].as_fraction()
-    return er._fraction_floor(lo, bits), er._fraction_ceil(hi, bits)
+    return floor_of(lo, bits), ceil_of(hi, bits)
 
 
 def ref_mul(a, b, bits):
     a0, a1 = a[0].as_fraction(), a[1].as_fraction()
     b0, b1 = b[0].as_fraction(), b[1].as_fraction()
     products = (a0 * b0, a0 * b1, a1 * b0, a1 * b1)
-    return er._fraction_floor(min(products), bits), er._fraction_ceil(max(products), bits)
+    return floor_of(min(products), bits), ceil_of(max(products), bits)
+
+
+def ref_div(a, b, bits):
+    a0, a1 = a[0].as_fraction(), a[1].as_fraction()
+    b0, b1 = b[0].as_fraction(), b[1].as_fraction()
+    quotients = (a0 / b0, a0 / b1, a1 / b0, a1 / b1)
+    return floor_of(min(quotients), bits), ceil_of(max(quotients), bits)
 
 
 def ref_width_ok(lo, hi, precision_bits):
@@ -80,6 +95,21 @@ def test_riv_mul_matches_fraction_formula(a, b, bits):
 
 
 @settings(max_examples=300, deadline=None)
+@given(raws, raws.filter(lambda b: b[0].man > 0 or b[1].man < 0), precisions)
+@example((Dyadic.of(-7, -3), Dyadic.of(0)), (Dyadic.of(-5, 400), Dyadic.of(-9, -400)), 16)
+@example((Dyadic.of(3), Dyadic(12, -2)), (Dyadic(6, -2), Dyadic.of(3)), 1)
+def test_riv_div_matches_fraction_formula(a, b, bits):
+    assert er._riv_div(a, b, bits) == ref_div(a, b, bits)
+
+
+def test_riv_div_rejects_a_divisor_around_zero():
+    with pytest.raises(er.DomainError):
+        er._riv_div((Dyadic.of(1), Dyadic.of(1)), (Dyadic.of(0), Dyadic.of(1)), 8)
+    with pytest.raises(er.DomainError):
+        er._riv_div((Dyadic.of(1), Dyadic.of(1)), (Dyadic.of(-1), Dyadic.of(1)), 8)
+
+
+@settings(max_examples=300, deadline=None)
 @given(dyadics, dyadics, precisions)
 def test_riv_width_ok_matches_fraction_formula(x, y, precision_bits):
     assert er._riv_width_ok(x, y, precision_bits) == ref_width_ok(x, y, precision_bits)
@@ -116,6 +146,36 @@ def test_riv_width_ok_scales_by_one_below_one():
     assert not er._riv_width_ok(Dyadic.of(-3, -2), hi, 2)  # 1 > 1/2
     assert er._riv_width_ok(Dyadic.of(1, -3), hi, 4)  # 1/8 <= 1/8
     assert not er._riv_width_ok(Dyadic.of(1, -3), hi, 5)
+
+
+# -- decimal rounding -------------------------------------------------------------
+
+decimal_scales = st.integers(0, 80).map(lambda k: 10**k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dyadics, decimal_scales)
+@example(Dyadic.of(-1, -1), 1)  # -1/2 rounds up to 0
+@example(Dyadic.of(-3, -1), 1)  # -3/2 rounds up to -1
+@example(Dyadic.of(-5, 3), 10)
+@example(Dyadic(6, -2), 10**80)
+def test_nearest_scaled_matches_fraction_formula(d, scale):
+    assert er._nearest_scaled(d, scale) == (d.as_fraction() * scale + Fraction(1, 2)).__floor__()
+
+
+@settings(max_examples=300, deadline=None)
+@given(dyadics, decimal_scales)
+def test_floor_scaled_matches_fraction_formula(d, scale):
+    assert er._floor_scaled(d, scale) == (d.as_fraction() * scale).__floor__()
+
+
+def test_interval_str_rounds_outward_at_twelve_digits():
+    exact = er.Interval(Dyadic.of(-1, -2), Dyadic.of(1, -1), 1)
+    assert str(exact) == "[-0.250000000000, 0.500000000000]"
+    tiny = er.Interval(Dyadic.of(-1, -41), Dyadic.of(1, -41), 4)
+    assert str(tiny) == "[-0.000000000001, 0.000000000001]"
+    narrow = er.enclose(-sqrt(2), 64)
+    assert str(narrow) == "[-1.414213562374, -1.414213562373]"
 
 
 # -- tower multiplication ---------------------------------------------------------

@@ -331,7 +331,7 @@ CIR = "circle(point(0, 0), 1)"
         (f"let p = nth(divide({SEG}, 2), {CIR});", (1, 9, "index must be a number, got circle")),
         (f"let p = nth(divide({SEG}, 2), 4);", (1, 9, "index 4 out of range for a list of 3")),
         (f"let p = nth(divide({SEG}, 2), 0);", (1, 9, "index 0 out of range for a list of 3")),
-        ("let w = witness(baudhayana(1), 2);", (1, 9, "index 2 out of range for 1 witness points")),
+        ("let w = witness(baudhayana(1), 2);", (1, 9, "index 2 out of range for 1 witness point")),
         ("let w = witness(dani(1), -1);", (1, 9, "index -1 out of range for 8 witness points")),
         ("let w = witness(dani(1), pi());", (1, 9, "index must be a number, got quantity")),
         ("let w = witness(gupta(1), 1);", (1, 9, "this rule output has no witness points")),
