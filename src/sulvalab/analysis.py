@@ -200,8 +200,7 @@ def report_to_dict(report: RuleReport) -> dict:
         assert report.implied_pi_interval is not None
         pi_field = {
             "exact": str(report.implied_pi_exact),
-            "lo": report.implied_pi_interval.lo.as_decimal(),
-            "hi": report.implied_pi_interval.hi.as_decimal(),
+            **_interval_json(report.implied_pi_interval),
         }
     error_field = (
         None

@@ -209,7 +209,6 @@ def run_command(script: str, svg_path: str | None, digits: int) -> None:
         # positioned as the lexer positions characters
         before = _universal_newlines(data[: exc.start].decode("utf-8"))
         diagnostic = sulvascript.Diagnostic(
-            "error",
             f"invalid UTF-8 byte 0x{data[exc.start]:02x}",
             before.count("\n") + 1,
             len(before) - before.rfind("\n"),

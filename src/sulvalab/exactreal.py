@@ -59,7 +59,6 @@ __all__ = [
     "enclose",
     "enclose_percent",
     "from_rational",
-    "normalize",
     "pi_enclosure",
     "set_tower_cap",
     "sign",
@@ -172,7 +171,7 @@ class Dyadic(NamedTuple):
         return self._cmp(other) >= 0
 
     def __neg__(self) -> "Dyadic":
-        return Dyadic(-self.man, self.exp) if self.man else _DY_ZERO
+        return tuple.__new__(Dyadic, (-self.man, self.exp)) if self.man else _DY_ZERO
 
     def __str__(self) -> str:
         return self.as_decimal()
@@ -206,47 +205,28 @@ def _fraction_floor(n: int, d: int, bits: int) -> Dyadic:
 
 
 def _fraction_ceil(n: int, d: int, bits: int) -> Dyadic:
-    if n == 0:
-        return _DY_ZERO
-    grid = n.bit_length() - d.bit_length() - bits
-    q = -((-n) // (d << grid)) if grid >= 0 else -(((-n) << -grid) // d)
-    return Dyadic.of(q, grid)
+    # the grid depends on |n| alone, so it is the grid of the floor of -n/d
+    return -_fraction_floor(-n, d, bits)
 
 
-def _round_floor(man: int, exp: int, bits: int) -> Dyadic:
-    """Largest dyadic with at most ``bits`` significant bits <= man * 2**exp."""
+def _round(man: int, exp: int, bits: int, up: bool) -> Dyadic:
+    """The dyadic with at most ``bits`` significant bits next to man * 2**exp:
+    the least one >= it when ``up``, else the greatest one <= it."""
     shift = man.bit_length() - bits
     if shift <= 0:
         return Dyadic.of(man, exp)
-    return Dyadic.of(man >> shift, exp + shift)
+    return Dyadic.of(-((-man) >> shift) if up else man >> shift, exp + shift)
 
 
-def _round_ceil(man: int, exp: int, bits: int) -> Dyadic:
-    shift = man.bit_length() - bits
-    if shift <= 0:
-        return Dyadic.of(man, exp)
-    return Dyadic.of(-((-man) >> shift), exp + shift)
-
-
-def _sqrt_floor(x: Dyadic, bits: int) -> Dyadic:
-    """Dyadic lower bound for sqrt(x), x >= 0."""
+def _sqrt_round(x: Dyadic, bits: int, up: bool) -> Dyadic:
+    """Dyadic bound for sqrt(x), x >= 0: an upper one when ``up``, else a lower one."""
     if x.man == 0:
         return _DY_ZERO
-    r = _round_floor(x.man, x.exp, 2 * bits + 4)
-    grid = (r.man.bit_length() + r.exp + 1) // 2 - bits - 2
-    grid = min(grid, r.exp // 2)
-    return Dyadic.of(isqrt(r.man << (r.exp - 2 * grid)), grid)
-
-
-def _sqrt_ceil(x: Dyadic, bits: int) -> Dyadic:
-    if x.man == 0:
-        return _DY_ZERO
-    r = _round_ceil(x.man, x.exp, 2 * bits + 4)
-    grid = (r.man.bit_length() + r.exp + 1) // 2 - bits - 2
-    grid = min(grid, r.exp // 2)
+    r = _round(x.man, x.exp, 2 * bits + 4, up)
+    grid = min((r.man.bit_length() + r.exp + 1) // 2 - bits - 2, r.exp // 2)
     scaled = r.man << (r.exp - 2 * grid)
     s = isqrt(scaled)
-    if s * s != scaled:
+    if up and s * s != scaled:
         s += 1
     return Dyadic.of(s, grid)
 
@@ -294,7 +274,7 @@ def _riv_add_mul(a: _Raw, b: _Raw, r: _Raw, bits: int) -> _Raw:
         hi += ah_man << (ah_exp - hi_exp)
     else:
         hi, hi_exp = ah_man + (hi << (hi_exp - ah_exp)), ah_exp
-    return _round_floor(lo, lo_exp, n), _round_ceil(hi, hi_exp, n)
+    return _round(lo, lo_exp, n, False), _round(hi, hi_exp, n, True)
 
 
 _RAW_ZERO = (_DY_ZERO, _DY_ZERO)
@@ -328,8 +308,8 @@ def _riv_div(a: _Raw, b: _Raw, bits: int) -> _Raw:
 def _riv_sqrt(a: _Raw, bits: int) -> _Raw:
     if a[1].man < 0:
         raise DomainError("interval square root of a negative interval")
-    lo = _DY_ZERO if a[0].man < 0 else _sqrt_floor(a[0], bits)
-    return lo, _sqrt_ceil(a[1], bits)
+    lo = _DY_ZERO if a[0].man < 0 else _sqrt_round(a[0], bits, False)
+    return lo, _sqrt_round(a[1], bits, True)
 
 
 def _riv_width_ok(lo: Dyadic, hi: Dyadic, precision_bits: int) -> bool:
@@ -569,8 +549,10 @@ class Tower:
         return f"<Tower h={self.height} sqrt({self.radicand})>"
 
 
-_ROOT_EXTENSIONS: list[tuple["ConstructibleReal", "Tower"]] = []
-_ROOT_INDEX: dict[tuple[int, int], Tower] = {}  # the same towers, by (num, den)
+# the root towers, (radicand, tower) by the radicand's (num, den)
+_ROOT_INDEX: dict[tuple[int, int], tuple["ConstructibleReal", Tower]] = {}
+# bench/ reads this name; ROADMAP item 1 (the benchmark reading in-package counters) deletes it
+_ROOT_EXTENSIONS = _ROOT_INDEX.values()
 
 # The per-tower root memo: tower -> (d, _riv_sqrt(d, _root_bits)) for the
 # radicand's enclosure d at working precision _root_bits.  It is emptied
@@ -605,11 +587,10 @@ def _extend(parent: Optional[Tower], radicand: "ConstructibleReal") -> Tower:
     if parent is None:
         # root radicands are rationals: one lookup instead of a scan
         key = radicand.num, radicand.den
-        tower = _ROOT_INDEX.get(key)
-        if tower is None:
-            tower = _ROOT_INDEX[key] = Tower(None, radicand)
-            _ROOT_EXTENSIONS.append((radicand, tower))
-        return tower
+        entry = _ROOT_INDEX.get(key)
+        if entry is None:
+            entry = _ROOT_INDEX[key] = radicand, Tower(None, radicand)
+        return entry[1]
     for known, tower in parent._children:
         if _sub(known, radicand).is_zero():
             return tower
@@ -680,7 +661,8 @@ class ConstructibleReal:
         """Exact rational element at tower level 0."""
         if denominator == 0:
             raise DomainError("zero denominator")
-        return _rational(Fraction(numerator, denominator))
+        value = Fraction(numerator, denominator)  # reduced, the sign on top
+        return _rat(value.numerator, value.denominator)
 
     # -- structure ---------------------------------------------------------
 
@@ -842,20 +824,16 @@ def _rat(n: int, d: int) -> ConstructibleReal:
     return x
 
 
-def _rational(value: Fraction) -> ConstructibleReal:
-    return _rat(value.numerator, value.denominator)
-
-
 def _reduced(n: int, d: int) -> ConstructibleReal:
     """The rational node ``n/d``, for ``d > 0``."""
     g = gcd(n, d)
     return _rat(n // g, d // g)
 
 
-def _raw_node(
-    tower: Tower, a: ConstructibleReal, b: ConstructibleReal
-) -> ConstructibleReal:
-    """Build a node without canonicalization; internal and test-only."""
+def _node(tower: Tower, a: ConstructibleReal, b: ConstructibleReal) -> ConstructibleReal:
+    """``a + b*sqrt(d)`` on ``tower``, in canonical form: ``a`` when ``b`` is zero."""
+    if b.is_zero():
+        return a
     x = object.__new__(ConstructibleReal)
     x.tower = tower
     x.num = x.den = 0
@@ -863,12 +841,6 @@ def _raw_node(
     x.b = b
     x._iv = None
     return x
-
-
-def _node(tower: Tower, a: ConstructibleReal, b: ConstructibleReal) -> ConstructibleReal:
-    if b.is_zero():
-        return a
-    return _raw_node(tower, a, b)
 
 
 _ZERO = _rat(0, 1)
@@ -998,7 +970,7 @@ def _neg(x: ConstructibleReal) -> ConstructibleReal:
     if x.tower is None:
         return _rat(-x.num, x.den)
     assert x.a is not None and x.b is not None
-    return _raw_node(x.tower, _neg(x.a), _neg(x.b))
+    return _node(x.tower, _neg(x.a), _neg(x.b))
 
 
 def _sub(x: ConstructibleReal, y: ConstructibleReal) -> ConstructibleReal:
@@ -1159,14 +1131,6 @@ def sqrt(value: Coercible) -> ConstructibleReal:
 
 def sign(value: Coercible) -> int:
     return constructible(value).sign()
-
-
-def normalize(x: ConstructibleReal) -> ConstructibleReal:
-    """Rebuild a value in canonical form (idempotent)."""
-    if x.tower is None:
-        return _rat(x.num, x.den)
-    assert x.a is not None and x.b is not None
-    return _node(x.tower, normalize(x.a), normalize(x.b))
 
 
 def structurally_equal(x: ConstructibleReal, y: ConstructibleReal) -> bool:

@@ -116,14 +116,15 @@ MAX_PARTS = 10_000
 
 @dataclass(frozen=True)
 class Diagnostic:
-    severity: str  # "error" or "warning"
+    """An error at a source position; every diagnostic is an error."""
+
     message: str
     line: int
     column: int
     limit: bool = False  # the input exceeds a MAX_* bound, not the language
 
     def __str__(self) -> str:
-        return f"{self.line}:{self.column}: {self.severity}: {self.message}"
+        return f"{self.line}:{self.column}: error: {self.message}"
 
 
 # -- syntax tree (positions excluded from equality) ---------------------------
@@ -150,12 +151,13 @@ class Call:
     line: int = field(compare=False, default=0)
     column: int = field(compare=False, default=0)
 
-    # compared and printed with explicit stacks, like _fold, so a tree as
-    # deep as MAX_NESTING never meets the recursion limit
+    # compared and printed by _fold, which keeps its own stack, so a tree as
+    # deep as MAX_NESTING never meets the recursion limit; the canonical text
+    # is faithful (reparsing it gives an equal tree), so it decides equality
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Call):
             return NotImplemented
-        return list(_preorder(self)) == list(_preorder(other))
+        return _format_expr(self, None) == _format_expr(other, None)
 
     def __repr__(self) -> str:
         return _fold(
@@ -175,7 +177,7 @@ _R = TypeVar("_R")
 class _NestingError(ValueError):
     def __init__(self, at: Union["_Token", Call]):
         super().__init__(f"expression nested more than {MAX_NESTING} levels deep")
-        self.diagnostic = Diagnostic("error", str(self), at.line, at.column, limit=True)
+        self.diagnostic = Diagnostic(str(self), at.line, at.column, limit=True)
 
 
 def _fold(
@@ -206,18 +208,6 @@ def _fold(
             todo.append((node, -1))
             todo.extend([(arg, depth + 1) for arg in reversed(node.args)])
     return done[0]
-
-
-def _preorder(expr: Expr):
-    """Nodes top-down: a call as ``(Call, name, arity)``, a leaf as itself."""
-    todo = [expr]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, Call):
-            yield Call, node.name, len(node.args)
-            todo.extend(reversed(node.args))
-        else:
-            yield node
 
 
 @dataclass
@@ -259,9 +249,7 @@ class ParseResult:
 
     @property
     def ok(self) -> bool:
-        return self.script is not None and not any(
-            d.severity == "error" for d in self.diagnostics
-        )
+        return self.script is not None
 
 
 # -- lexer ---------------------------------------------------------------------
@@ -310,11 +298,11 @@ def _lex(source: str) -> tuple[list[_Token], list[Diagnostic]]:
                 line_start = source.rindex("\n", 0, pos) + 1
         elif kind == "bad":
             diagnostics.append(
-                Diagnostic("error", f"unexpected character {text!r}", line, column)
+                Diagnostic(f"unexpected character {text!r}", line, column)
             )
         elif kind == "number" and len(text) - text.count(".") > MAX_LITERAL_DIGITS:
             message = f"numeric literal longer than {MAX_LITERAL_DIGITS} digits"
-            diagnostics.append(Diagnostic("error", message, line, column, limit=True))
+            diagnostics.append(Diagnostic(message, line, column, limit=True))
             # a stand-in value lets the parser go on to later diagnostics
             tokens.append(_Token(kind, text, Fraction(1), line, column))
         else:
@@ -335,9 +323,7 @@ class _Parser:
         self.defined: set[str] = set()
 
     def error(self, message: str, token: _Token) -> None:
-        self.diagnostics.append(
-            Diagnostic("error", message, token.line, token.column)
-        )
+        self.diagnostics.append(Diagnostic(message, token.line, token.column))
 
     @property
     def current(self) -> _Token:
@@ -528,18 +514,10 @@ class _Parser:
 
     def close_call(self, name_token: _Token, args: list[Expr]) -> Call:
         """Check a call whose ``)`` was just read against the vocabulary."""
-        name = name_token.text
-        parameters, _ = _VOCABULARY.get(name, (None, None))
-        if parameters is None:
-            self.error(f"unknown name {name!r}", name_token)
-        elif len(parameters) != len(args):
-            arity = len(parameters)
-            self.error(
-                f"{name}() takes {arity} argument{'s' if arity != 1 else ''}, "
-                f"got {len(args)}",
-                name_token,
-            )
-        return Call(name, args, name_token.line, name_token.column)
+        problem = _call_problem(name_token.text, len(args))
+        if problem is not None:
+            self.error(problem, name_token)
+        return Call(name_token.text, args, name_token.line, name_token.column)
 
 
 class _SyntaxAbort(Exception):
@@ -551,9 +529,7 @@ def parse(source: str) -> ParseResult:
     tokens, diagnostics = _lex(source)
     parser = _Parser(tokens, diagnostics)
     script = parser.parse_program()
-    if any(d.severity == "error" for d in diagnostics):
-        return ParseResult(None, diagnostics)
-    return ParseResult(script, diagnostics)
+    return ParseResult(None if diagnostics else script, diagnostics)
 
 
 # -- canonical formatting ----------------------------------------------------------
@@ -563,8 +539,8 @@ def _format_leaf(expr: Union[Literal, Name]) -> str:
     return str(expr.value) if isinstance(expr, Literal) else expr.ident
 
 
-def _format_expr(expr: Expr) -> str:
-    return _fold(expr, _format_leaf, lambda c, args: f"{c.name}({', '.join(args)})")
+def _format_expr(expr: Expr, limit: Optional[int] = MAX_NESTING) -> str:
+    return _fold(expr, _format_leaf, lambda c, args: f"{c.name}({', '.join(args)})", limit)
 
 
 def format_script(script: Script) -> str:
@@ -598,7 +574,7 @@ class EvalResult:
 
     @property
     def ok(self) -> bool:
-        return not any(d.severity == "error" for d in self.diagnostics)
+        return not self.diagnostics
 
 
 class _EvalError(Exception):
@@ -607,25 +583,17 @@ class _EvalError(Exception):
         self.limit = limit
 
 
-def _kind_name(value: Value) -> str:
-    if isinstance(value, ConstructibleReal):
-        return "number"
-    if isinstance(value, Quantity):
-        return "quantity"
-    if isinstance(value, catalog.RuleOutput):
-        return "rule output"
-    if isinstance(value, list):
-        return "list"
-    return type(value).__name__.lower()
-
-
-# parameter kinds that admit the values of one class as they are
-_CLASSES: dict[str, type] = {
-    "point": Point,
-    "segment": Segment,
-    "square": Square,
-    "circle": Circle,
-    "rule output": catalog.RuleOutput,
+# the kind of a value, by its class; the parameter kinds "point", "segment",
+# "square", "circle" and "rule output" admit the values of their class
+_KIND_NAMES: dict[type, str] = {
+    ConstructibleReal: "number",
+    Quantity: "quantity",
+    Point: "point",
+    Segment: "segment",
+    Square: "square",
+    Circle: "circle",
+    catalog.RuleOutput: "rule output",
+    list: "list",
 }
 
 
@@ -642,18 +610,22 @@ def _argument(kind: str, label: str, value: Value) -> object:
             return value
         if isinstance(value, Quantity) and value.is_constant():
             return value.c0
-        raise _EvalError(f"{label} must be a number, got {_kind_name(value)}")
+        raise _EvalError(f"{label} must be a number, got {_KIND_NAMES[type(value)]}")
     if kind == "numeric":
         if isinstance(value, Quantity):
             return value
         if isinstance(value, ConstructibleReal):
             return Quantity(value, 0)
-        raise _EvalError(f"{label} must be numeric, got {_kind_name(value)}")
-    cls = _CLASSES.get(kind)
-    if cls is not None:
-        if isinstance(value, cls):
+        raise _EvalError(f"{label} must be numeric, got {_KIND_NAMES[type(value)]}")
+    if kind == "list":
+        if isinstance(value, list):
             return value
-        raise _EvalError(f"{label} must be a {kind}, got {_kind_name(value)}")
+        raise _EvalError(f"{label} takes a list")
+    if kind in _KIND_NAMES.values():  # point, segment, square, circle, rule output
+        got = _KIND_NAMES[type(value)]
+        if got == kind:
+            return value
+        raise _EvalError(f"{label} must be a {kind}, got {got}")
     if kind == "integer":
         number = _argument("number", label, value)
         frac = number.as_fraction() if number.is_rational() else None
@@ -665,10 +637,6 @@ def _argument(kind: str, label: str, value: Value) -> object:
         if points is None:
             raise _EvalError("this rule output has no witness points")
         return points
-    if kind == "list":
-        if isinstance(value, list):
-            return value
-        raise _EvalError(f"{label} takes a list")
     if isinstance(value, (Square, Circle)):  # kind "figure" or "rule input"
         return value
     if kind == "figure":
@@ -840,7 +808,22 @@ _VOCABULARY.update(
 )
 
 
+def _call_problem(name: str, count: int) -> Optional[str]:
+    """Why a call of ``name`` on ``count`` arguments is wrong, or None."""
+    entry = _VOCABULARY.get(name)
+    if entry is None:
+        return f"unknown name {name!r}"
+    arity = len(entry[0])
+    if arity != count:
+        return f"{name}() takes {arity} argument{'s' if arity != 1 else ''}, got {count}"
+    return None
+
+
 class _Evaluator:
+    """Runs statements in order.  A hand-built script that the parser would
+    reject (an unknown or unresolved name, a wrong argument count, a
+    redefinition, nesting past MAX_NESTING) stops with the parser's message."""
+
     def __init__(self) -> None:
         self.environment: dict[str, Value] = {}
         self.emitted: list[tuple[str, Value]] = []
@@ -849,27 +832,34 @@ class _Evaluator:
     def eval_expr(self, expr: Expr) -> Value:
         try:
             return _fold(expr, self.eval_leaf, self.eval_call)
-        except _NestingError as exc:  # a hand-built script the parser would reject
+        except _NestingError as exc:
             raise _EvalAbort(exc.diagnostic) from None
 
     def eval_leaf(self, expr: Union[Literal, Name]) -> Value:
         if isinstance(expr, Literal):
             return constructible(expr.value)
-        return self.environment[expr.ident]
+        value = self.environment.get(expr.ident)
+        if value is None:
+            message = f"unresolved reference {expr.ident!r}"
+            raise _EvalAbort(Diagnostic(message, expr.line, expr.column))
+        return value
 
     def eval_call(self, expr: Call, args: list) -> Value:
         try:
+            problem = _call_problem(expr.name, len(args))
+            if problem is not None:
+                raise _EvalError(problem)
             parameters, implementation = _VOCABULARY[expr.name]
             return implementation(
                 *[_argument(kind, label, arg) for (kind, label), arg in zip(parameters, args)]
             )
         except _EvalError as exc:
             raise _EvalAbort(
-                Diagnostic("error", exc.message, expr.line, expr.column, exc.limit)
+                Diagnostic(exc.message, expr.line, expr.column, exc.limit)
             ) from None
         except (DomainError, CapacityError, UnsupportedQuantityError) as exc:
             raise _EvalAbort(
-                Diagnostic("error", f"{expr.name}(): {exc}", expr.line, expr.column)
+                Diagnostic(f"{expr.name}(): {exc}", expr.line, expr.column)
             ) from None
 
     def run(self, script: Script) -> EvalResult:
@@ -883,11 +873,14 @@ class _Evaluator:
 
     def exec_stmt(self, stmt: Stmt) -> None:
         if isinstance(stmt, Let):
+            if stmt.ident in self.environment:
+                message = f"redefinition of {stmt.ident!r}"
+                raise _EvalAbort(Diagnostic(message, stmt.line, stmt.column))
             self.environment[stmt.ident] = self.eval_expr(stmt.expr)
             return
         if isinstance(stmt, Emit):
             for name in stmt.names:
-                self.emitted.append((name.ident, self.environment[name.ident]))
+                self.emitted.append((name.ident, self.eval_leaf(name)))
             return
         left = self.eval_expr(stmt.left)
         right = self.eval_expr(stmt.right)
@@ -895,16 +888,13 @@ class _Evaluator:
             lq = _argument("numeric", "left side of assertion", left)
             rq = _argument("numeric", "right side of assertion", right)
         except _EvalError as exc:
-            raise _EvalAbort(
-                Diagnostic("error", exc.message, stmt.line, stmt.column)
-            ) from None
+            raise _EvalAbort(Diagnostic(exc.message, stmt.line, stmt.column)) from None
         s = (lq - rq).sign()
         holds = {"==": s == 0, "<": s < 0, ">": s > 0}[stmt.op]
         if not holds:
             # assertion failures are reported but do not halt the run
             self.diagnostics.append(
                 Diagnostic(
-                    "error",
                     f"assertion failed: left {stmt.op} right is false; "
                     f"left in {lq.enclose(64)}, right in {rq.enclose(64)}",
                     stmt.line,

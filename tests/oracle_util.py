@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import mpmath
 
+from sulvalab.exactreal import ConstructibleReal
+
 
 def mpf_fraction(value) -> Fraction:
     """Exact Fraction equal to a finite mpf (sign-aware)."""
@@ -12,6 +14,14 @@ def mpf_fraction(value) -> Fraction:
         return Fraction(0)
     magnitude = Fraction(man) * Fraction(2) ** exp
     return -magnitude if sign else magnitude
+
+
+def raw_node(tower, a, b) -> ConstructibleReal:
+    """``a + b*sqrt(d)`` on ``tower`` as given, even for a zero ``b``: the
+    non-canonical values that no constructor of the package returns."""
+    x = object.__new__(ConstructibleReal)
+    x.tower, x.num, x.den, x.a, x.b, x._iv = tower, 0, 0, a, b, None
+    return x
 
 
 def mp_value(x):

@@ -253,11 +253,7 @@ def test_criterion_09_dsl_contract():
         second = parse(format_script(first.script))
         assert second.ok and second.script == first.script, path.name
 
-    errors = [
-        d
-        for d in parse("let a = f1(); let b = f2(); let c = f3();").diagnostics
-        if d.severity == "error"
-    ]
+    errors = parse("let a = f1(); let b = f2(); let c = f3();").diagnostics
     assert len(errors) == 3
 
     source = CORPUS[0].read_text(encoding="utf-8")

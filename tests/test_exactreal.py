@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sulvalab import exactreal as er
@@ -20,7 +20,6 @@ from sulvalab.exactreal import (
     enclose,
     enclose_percent,
     from_rational,
-    normalize,
     pi_enclosure,
     sqrt,
     structurally_equal,
@@ -28,7 +27,7 @@ from sulvalab.exactreal import (
 )
 
 
-from oracle_util import oracle
+from oracle_util import oracle, raw_node
 
 
 def assert_contains_oracle(value, expr, bits=64):
@@ -209,8 +208,8 @@ def test_sign_decides_a_noncanonical_zero_in_the_first_round(monkeypatch):
     outer = sqrt(1 + sqrt(2)).tower
     inner = outer.parent
     assert inner is sqrt(2).tower
-    flat = er._raw_node(inner, er._ZERO, er._ZERO)
-    nested = er._raw_node(outer, flat, er._raw_node(inner, er._ZERO, er._ZERO))
+    flat = raw_node(inner, er._ZERO, er._ZERO)
+    nested = raw_node(outer, flat, raw_node(inner, er._ZERO, er._ZERO))
     calls = _record_enclosure_rounds(monkeypatch)
     for zero in (flat, nested):
         assert zero.sign() == 0
@@ -488,8 +487,8 @@ def test_riv_pi_matches_the_shipped_constant(monkeypatch):
         for b in range(2, 1539)
         if er._riv_pi(b)
         != (
-            er._round_floor(SHIPPED_PI_MAN, -1536, b),
-            er._round_ceil(SHIPPED_PI_MAN + 1, -1536, b),
+            er._round(SHIPPED_PI_MAN, -1536, b, False),
+            er._round(SHIPPED_PI_MAN + 1, -1536, b, True),
         )
     ]
     assert mismatches == []
@@ -539,6 +538,14 @@ def test_quantity_sign_mixed_components():
     assert Quantity(Fraction(16, 5), -1).sign() == 1  # 16/5 - pi > 0
     assert Quantity(3, -1).sign() == -1
     assert Quantity(0, 0).sign() == 0
+    assert Quantity(0, sqrt(2) - 2).sign() == -1  # a zero c0: the sign of c1
+
+
+def test_quantity_reflected_subtraction_negation_and_division():
+    q = Quantity(sqrt(2), 3)
+    assert str(1 - q) == "1 - sqrt(2) - 3*pi"
+    assert str(-q) == "-sqrt(2) - 3*pi"
+    assert str(q / 2) == "1/2*sqrt(2) + 3/2*pi"
 
 
 def test_quantity_constant_part_guard():
@@ -626,14 +633,15 @@ RADICANDS = (2, 3, 5, 17)
     st.fractions(min_value=-20, max_value=20),
     st.sampled_from(RADICANDS),
 )
-def test_normalization_idempotent(a, b, d):
+@example(Fraction(7, 3), Fraction(0), 2)
+def test_node_collapses_exactly_when_the_coefficient_is_zero(a, b, d):
     tower = sqrt(d).tower
-    raw = er._raw_node(tower, er._rational(a), er._rational(b))
-    once = normalize(raw)
-    twice = normalize(once)
-    assert structurally_equal(once, twice)
+    x = er._node(tower, constructible(a), constructible(b))
     if b == 0:
-        assert once.is_rational()
+        assert x.is_rational() and x.as_fraction() == a
+    else:
+        assert x.tower is tower
+        assert (x.a.as_fraction(), x.b.as_fraction()) == (a, b)
 
 
 @settings(max_examples=40, deadline=None)

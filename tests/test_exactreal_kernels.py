@@ -184,7 +184,7 @@ def test_interval_str_rounds_outward_at_twelve_digits():
 def schoolbook(x, y):
     """(a + b*r)(c + e*r) = (ac + bed) + (ae + bc)*r, recursively."""
     if x.tower is None and y.tower is None:
-        return er._rational(x.frac * y.frac)
+        return er.constructible(x.frac * y.frac)
     x, y = er._common(x, y)
     tower = er._deeper(x, y)
     xa, xb = er._split(x, tower)
@@ -217,7 +217,7 @@ def elements(draw, gens, height):
 
     def build(level):
         if level == 0:
-            return er._rational(draw(coefficients))
+            return er.constructible(draw(coefficients))
         below_a, below_b = build(level - 1), build(level - 1)
         return er._node(gens[level - 1].tower, below_a, below_b)
 
@@ -262,14 +262,14 @@ def test_a_stored_root_follows_a_tighter_radicand():
     # a traversal at other bits empties the memo, so the radicand of a tower
     # is tightened here behind its back; at the same bits, a fresh node must
     # get the root of the tighter enclosure, not the stored one
-    one = er._rational(Fraction(1))
+    one = er.constructible(1)
     tower = sqrt(sqrt(1009) + 31).tower
     for bits in (56, 328):
         tight = (sqrt(1009) + 31)._interval_raw(4 * bits)
-        er._raw_node(tower, one, one)._interval_raw(bits)
+        er._node(tower, one, one)._interval_raw(bits)
         assert er._ROOTS[tower][0] != tight
         tower.radicand._iv = tight
-        fresh = er._raw_node(tower, one, one)._interval_raw(bits)
+        fresh = er._node(tower, one, one)._interval_raw(bits)
         assert er._root_bits == bits
         assert er._ROOTS[tower] == (tight, er._riv_sqrt(tight, bits))
         assert fresh == er._riv_add_mul(

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from sulvalab import exactreal as er
 from sulvalab.exactreal import sqrt
 
-from oracle_util import mp_value
+from oracle_util import mp_value, raw_node
 
 ORACLE_BITS = 800
 
@@ -166,10 +166,10 @@ def test_sign_of_raw_nodes_with_zero_coefficients_matches_oracles(data):
             return er._ZERO
         if kind == "rational":
             return er.constructible(data.draw(_small))
-        return er._raw_node(below, er._ZERO, er.constructible(data.draw(_small)))
+        return raw_node(below, er._ZERO, er.constructible(data.draw(_small)))
 
-    _assert_sign_matches_oracles(er._raw_node(tower, coefficient(), coefficient()))
-    _assert_sign_matches_oracles(er._raw_node(tower, er._ZERO, er._ZERO))
+    _assert_sign_matches_oracles(raw_node(tower, coefficient(), coefficient()))
+    _assert_sign_matches_oracles(raw_node(tower, er._ZERO, er._ZERO))
 
 
 def test_deep_differences_with_themselves_are_zero():

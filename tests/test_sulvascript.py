@@ -11,8 +11,10 @@ from sulvalab.sulvascript import (
     MAX_PARTS,
     MAX_VALUE_DIGITS,
     Call,
+    Emit,
     Let,
     Literal,
+    Name,
     Script,
     evaluate,
     extract_figures,
@@ -32,8 +34,7 @@ def parse_ok(source: str):
 
 
 def errors_of(source: str):
-    result = parse(source)
-    return [d for d in result.diagnostics if d.severity == "error"]
+    return parse(source).diagnostics
 
 
 # -- parsing ------------------------------------------------------------------
@@ -58,7 +59,7 @@ def test_sqrt_negative_is_a_runtime_diagnostic():
     result = evaluate(script)
     assert not result.ok
     (diag,) = result.diagnostics
-    assert diag.severity == "error"
+    assert str(diag).startswith("1:9: error: ")
     assert "sqrt" in diag.message
     assert (diag.line, diag.column) == (1, 9)
 
@@ -468,6 +469,38 @@ def test_render_report_shape():
     assert "circle(center=point(0, 0), radius=1.414214…)" in report
 
 
+def test_render_report_of_figures_lists_and_pi_quantities():
+    result = evaluate(
+        parse_ok(
+            "let s = segment(point(0, 0), point(1, 1));\n"
+            "let q = square(point(0, 0), 1);\n"
+            "let ps = divide(s, 2);\n"
+            "let t = trisectors_vertical(square(point(0, 0), 1));\n"
+            "let n = neg(pi());\n"
+            "emit s, q, ps, t, n;\n"
+        )
+    )
+    s, q, ps, t, n = render_report(result).splitlines()
+    assert s == "s = segment(point(0, 0), point(1, 1))"
+    assert q == "q = square(center=point(0, 0), half_side=1)"
+    assert ps == "ps = [point(0, 0), point(0.5, 0.5), point(1, 1)]"
+    assert t.startswith("t = [segment(point(-0.333333333333…, -1), ")
+    assert n == "n = -3.141592653590… (= -pi)"
+
+
+def test_extract_figures_flattens_emitted_lists_in_order():
+    result = evaluate(
+        parse_ok(
+            "let t = trisectors_vertical(square(point(0, 0), 1));\n"
+            "let ps = divide(segment(point(0, 0), point(1, 1)), 2);\n"
+            "emit t, ps;\n"
+        )
+    )
+    figures = extract_figures(result)
+    assert [type(f).__name__ for f in figures] == ["Segment"] * 2 + ["Point"] * 3
+    assert figures == result.environment["t"] + result.environment["ps"]
+
+
 # -- nesting depth ------------------------------------------------------------
 
 
@@ -604,6 +637,42 @@ def test_evaluator_rechecks_the_nesting_limit():
     result = evaluate(Script([Let("x", expr, 1, 1)]))
     assert [(d.column, d.limit) for d in result.diagnostics] == [(MAX_NESTING + 1, True)]
     assert result.environment == {}
+
+
+def _let(ident, expr, line=1):
+    return Let(ident, expr, line, 1)
+
+
+def _call(name, *args):
+    return Call(name, list(args), 1, 9)
+
+
+ONE = Literal(Fraction(1))
+
+
+@pytest.mark.parametrize(
+    "statements, expected",
+    [
+        ([_let("x", _call("sqrt", ONE, ONE))], (1, 9, "sqrt() takes 1 argument, got 2")),
+        ([_let("x", _call("sqrt"))], (1, 9, "sqrt() takes 1 argument, got 0")),
+        ([_let("x", _call("nope", ONE))], (1, 9, "unknown name 'nope'")),
+        ([_let("x", _call("add", Name("y", 1, 13), ONE))], (1, 13, "unresolved reference 'y'")),
+        (
+            [_let("x", ONE), Emit([Name("x", 2, 6), Name("z", 2, 9)], 2, 1)],
+            (2, 9, "unresolved reference 'z'"),
+        ),
+        ([_let("x", ONE), _let("x", ONE, line=2)], (2, 1, "redefinition of 'x'")),
+    ],
+    ids=["extra-argument", "no-argument", "unknown-call", "unresolved-name",
+         "unresolved-emit", "redefinition"],
+)
+def test_evaluator_rechecks_names_and_argument_counts(statements, expected):
+    # hand-built trees the parser would reject get the parser's diagnostic
+    result = evaluate(Script(statements))
+    assert [(d.line, d.column, d.message) for d in result.diagnostics] == [expected]
+    assert not result.ok
+    # the run stops at the diagnostic; only a first "let x = 1" has run
+    assert [str(v) for v in result.environment.values()] == ["1"] * (len(statements) - 1)
 
 
 def test_deep_trees_compare_and_print_without_recursion():

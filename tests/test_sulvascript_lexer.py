@@ -28,7 +28,7 @@ class _Lexer:
         self.diagnostics: list[Diagnostic] = []
 
     def error(self, message: str, line: int, column: int) -> None:
-        self.diagnostics.append(Diagnostic("error", message, line, column))
+        self.diagnostics.append(Diagnostic(message, line, column))
 
     def _advance(self, n: int = 1) -> None:
         for _ in range(n):
