@@ -183,6 +183,16 @@ def _universal_newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8; an I/O error exits 2."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
+
+
 @main.command("run")
 @click.argument(
     "script", type=click.Path(exists=True, dir_okay=False, readable=True)
@@ -231,8 +241,7 @@ def run_command(script: str, svg_path: str | None, digits: int) -> None:
         if not figures:
             click.echo("error: the script emitted no figures", err=True)
             sys.exit(2)
-        with open(svg_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(svg_render.to_svg(figures))
+        _write_text(svg_path, svg_render.to_svg(figures))
     limited = any(d.limit for d in result.diagnostics)
     sys.exit(0 if result.ok else 2 if limited else 1)
 
@@ -291,8 +300,7 @@ def render_command(
     if output == "-":
         click.echo(document, nl=False)
     else:
-        with open(output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(document)
+        _write_text(output, document)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ explicitly by callers and tower growth stays visible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from .exactreal import (
     Coercible,
@@ -33,6 +33,7 @@ __all__ = [
     "distance_squared",
     "divide_segment",
     "point",
+    "shape",
     "similar",
     "square_area",
     "trisector_lines",
@@ -114,6 +115,18 @@ class Circle:
 Figure = Union[Point, Segment, Square, Circle]
 
 
+def shape(figure: Figure) -> tuple[tuple[Point, ...], Optional[ConstructibleReal]]:
+    """The points ``figure`` is placed by, and its half extent: a square's
+    half side, a circle's radius, ``None`` for a point or a segment."""
+    if isinstance(figure, Point):
+        return (figure,), None
+    if isinstance(figure, Segment):
+        return (figure.a, figure.b), None
+    if isinstance(figure, Square):
+        return (figure.center,), figure.half_side
+    return (figure.center,), figure.radius
+
+
 def similar(figure: Figure, k: ConstructibleReal, offset: Point) -> Figure:
     """The image of ``figure`` under ``p -> k*p + offset``, for ``k > 0``.
 
@@ -122,23 +135,16 @@ def similar(figure: Figure, k: ConstructibleReal, offset: Point) -> Figure:
     """
     scale = not (k.is_rational() and k.as_fraction() == 1)
     shift = not (offset.x.is_zero() and offset.y.is_zero())
-    if isinstance(figure, Point):
-        anchors: tuple[Point, ...] = (figure,)
-    elif isinstance(figure, Segment):
-        anchors = (figure.a, figure.b)
-    else:
-        anchors = (figure.center,)
+    anchors, extent = shape(figure)
     images = []
     for p in anchors:
         x, y = (p.x * k, p.y * k) if scale else (p.x, p.y)
         images.append(Point(x + offset.x, y + offset.y) if shift else Point(x, y))
     if isinstance(figure, Point):
         return images[0]
-    if isinstance(figure, Segment):
-        return Segment(images[0], images[1])
-    if isinstance(figure, Square):
-        return Square(images[0], figure.half_side * k if scale else figure.half_side)
-    return Circle(images[0], figure.radius * k if scale else figure.radius)
+    if extent is None:
+        return Segment(*images)
+    return type(figure)(images[0], extent * k if scale else extent)
 
 
 def divide_segment(segment: Segment, parts: int) -> list[Point]:

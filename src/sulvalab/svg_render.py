@@ -1,29 +1,30 @@
 """Deterministic SVG rendering of exact figures.
 
-Every coordinate goes through the same fixed pipeline: the 64-bit grid
-cell of the exact value (see ``exactreal.enclose``), its dyadic midpoint
-as an exact fraction, an exact affine world-to-screen transform, and a
-fixed-point decimal with three fractional digits.  No floats are involved
-anywhere, so the output is byte-identical across runs and platforms, and
-whatever the process computed before.  The canvas is square, ``size``
-px on a side, and the drawing fills it up to a fixed 10% margin on each
-edge.  No external assets or fonts are referenced.
+Every coordinate goes through the same fixed pipeline, in integers only.
+Each exact value becomes the dyadic midpoint of its 64-bit grid cell (see
+``exactreal.enclose``); all of a document's midpoints go onto one common
+power-of-two grid, so that each is an integer ``w``; and each printed
+number is the quotient ``size*(5*S + 4*(2*(w - wmin) - S_axis)) / (10*S)``
+(mirrored for y, which grows downward), rounded once to three fractional
+digits.  ``S`` is the larger span of the drawing and ``S_axis`` the span
+of the axis at hand, so the drawing fills the square ``size`` px canvas up
+to a fixed 10% margin on each edge; a drawing that spans nothing takes
+``S = 1`` and sits at the centre.  Neither floats nor fractions are
+involved, so the output is byte-identical across runs and platforms, and
+whatever the process computed before.  No external assets or fonts are
+referenced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .catalog import RuleOutput
-from .exactreal import ConstructibleReal, DomainError, enclose, to_decimal
-from .geom import Circle, Figure, Point, Segment, Square
+from .exactreal import ConstructibleReal, DomainError, Dyadic, enclose, to_decimal
+from .geom import Circle, Figure, Segment, Square, shape
 
 __all__ = ["RenderOptions", "render_rule_output", "to_svg"]
-
-_MARK_RADIUS = Fraction(3)
-_MARGIN = Fraction(1, 10)
 
 
 @dataclass(frozen=True)
@@ -37,119 +38,29 @@ class RenderOptions:
     show_witness_points: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("size", "label_digits"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise DomainError(f"{name} must be an int, got {value!r}")
         if self.size < 100:
             raise DomainError("canvas must be at least 100 px on each side")
         if self.label_digits < 1:
             raise DomainError("label_digits must be positive")
 
 
-def _approx(value: ConstructibleReal) -> Fraction:
-    return enclose(value, 64).midpoint()
+def _approx(value: ConstructibleReal) -> Dyadic:
+    """The midpoint of the value's 64-bit grid cell."""
+    cell = enclose(value, 64)
+    (lo_man, lo_exp), (hi_man, hi_exp) = cell.lo, cell.hi
+    exp = min(lo_exp, hi_exp)
+    return Dyadic.of((lo_man << (lo_exp - exp)) + (hi_man << (hi_exp - exp)), exp - 1)
 
 
-def _bounds(
-    figure: Figure, approx: Callable[[ConstructibleReal], Fraction]
-) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    if isinstance(figure, Point):
-        x, y = approx(figure.x), approx(figure.y)
-        return x, x, y, y
-    if isinstance(figure, Segment):
-        ax, ay = approx(figure.a.x), approx(figure.a.y)
-        bx, by = approx(figure.b.x), approx(figure.b.y)
-        return min(ax, bx), max(ax, bx), min(ay, by), max(ay, by)
-    if isinstance(figure, Square):
-        cx, cy = approx(figure.center.x), approx(figure.center.y)
-        h = approx(figure.half_side)
-        return cx - h, cx + h, cy - h, cy + h
-    cx, cy = approx(figure.center.x), approx(figure.center.y)
-    r = approx(figure.radius)
-    return cx - r, cx + r, cy - r, cy + r
-
-
-def _fmt(value: Fraction) -> str:
-    """Fixed-point decimal, three fractional digits, half away from zero."""
-    scaled = abs(value) * 1000
-    units = (scaled + Fraction(1, 2)).__floor__()
-    text = f"{units // 1000}.{units % 1000:03d}"
-    return "-" + text if value < 0 and units else text
-
-
-class _Transform:
-    def __init__(self, figures: Sequence[Figure], options: RenderOptions):
-        self._approximations: dict[int, tuple[ConstructibleReal, Fraction]] = {}
-        boxes = [_bounds(f, self.approx) for f in figures]
-        self.xmin = min(b[0] for b in boxes)
-        xmax = max(b[1] for b in boxes)
-        self.ymin = min(b[2] for b in boxes)
-        ymax = max(b[3] for b in boxes)
-        span_x = xmax - self.xmin
-        span_y = ymax - self.ymin
-        span = max(span_x, span_y)
-        self.size = Fraction(options.size)
-        self.scale = self.size * (1 - 2 * _MARGIN) / span if span > 0 else Fraction(1)
-        self.ox = (self.size - self.scale * span_x) / 2
-        self.oy = (self.size - self.scale * span_y) / 2
-
-    def x(self, world: Fraction) -> Fraction:
-        return self.ox + self.scale * (world - self.xmin)
-
-    def y(self, world: Fraction) -> Fraction:
-        # SVG y grows downward
-        return self.size - self.oy - self.scale * (world - self.ymin)
-
-    def approx(self, value: ConstructibleReal) -> Fraction:
-        """``_approx(value)``, worked out once per value and document."""
-        cached = self._approximations.get(id(value))
-        if cached is None:
-            # holding the value keeps its id from being reused meanwhile
-            cached = self._approximations[id(value)] = (value, _approx(value))
-        return cached[1]
-
-    def point(self, p: Point) -> tuple[Fraction, Fraction]:
-        return self.x(self.approx(p.x)), self.y(self.approx(p.y))
-
-
-def _emit_figure(figure: Figure, t: _Transform, options: RenderOptions) -> list[str]:
-    parts: list[str] = []
-    if isinstance(figure, Square):
-        x = t.x(t.approx(figure.center.x) - t.approx(figure.half_side))
-        y = t.y(t.approx(figure.center.y) + t.approx(figure.half_side))
-        side = t.scale * 2 * t.approx(figure.half_side)
-        parts.append(
-            f'<rect class="square" x="{_fmt(x)}" y="{_fmt(y)}" '
-            f'width="{_fmt(side)}" height="{_fmt(side)}" '
-            f'fill="none" stroke="#1f3a5f" stroke-width="1.5"/>'
-        )
-    elif isinstance(figure, Circle):
-        cx, cy = t.point(figure.center)
-        r = t.scale * t.approx(figure.radius)
-        parts.append(
-            f'<circle class="circle" cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-            f'r="{_fmt(r)}" fill="none" stroke="#a23b3b" stroke-width="1.5"/>'
-        )
-    elif isinstance(figure, Segment):
-        x1, y1 = t.point(figure.a)
-        x2, y2 = t.point(figure.b)
-        parts.append(
-            f'<line class="segment" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
-            f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke="#6b6b6b" stroke-width="1"/>'
-        )
-    else:
-        cx, cy = t.point(figure)
-        parts.append(
-            f'<circle class="mark" cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-            f'r="{_fmt(_MARK_RADIUS)}" fill="#a23b3b" stroke="none"/>'
-        )
-        if options.show_labels:
-            # digits, signs, points and ellipses only: nothing to escape
-            digits = options.label_digits
-            parts.append(
-                f'<text class="label" x="{_fmt(cx + 5)}" y="{_fmt(cy - 5)}" '
-                f'font-size="12">({to_decimal(figure.x, digits)}, '
-                f"{to_decimal(figure.y, digits)})</text>"
-            )
-    return parts
+def _fmt(n: int, d: int) -> str:
+    """``n/d`` to three fractional digits, halves up, for ``n >= 0`` and
+    ``d > 0``: no printed number is below ``size/10 - 5`` px."""
+    units = (2000 * n + d) // (2 * d)
+    return f"{units // 1000}.{units % 1000:03d}"
 
 
 def to_svg(
@@ -159,10 +70,79 @@ def to_svg(
     figures = list(figures)
     if not figures:
         raise DomainError("nothing to render: the figure list is empty")
-    t = _Transform(figures, options)
+    shapes = [shape(figure) for figure in figures]
+    # one midpoint per value and document; holding the value keeps its id
+    # from being reused meanwhile
+    cells: dict[int, tuple[ConstructibleReal, Dyadic]] = {}
+    for anchors, extent in shapes:
+        for value in (extent, *(c for p in anchors for c in (p.x, p.y))):
+            if value is not None and id(value) not in cells:
+                cells[id(value)] = (value, _approx(value))
+    grid = min(cell.exp for _, cell in cells.values())
+
+    def w(value: ConstructibleReal) -> int:
+        man, exp = cells[id(value)][1]
+        return man << (exp - grid)
+
+    xs: list[int] = []
+    ys: list[int] = []
+    for anchors, extent in shapes:
+        h = 0 if extent is None else w(extent)
+        for p in anchors:
+            xs += (w(p.x) - h, w(p.x) + h)
+            ys += (w(p.y) - h, w(p.y) + h)
+    xmin, ymin = min(xs), min(ys)
+    span_x, span_y = max(xs) - xmin, max(ys) - ymin
+    span = max(span_x, span_y, 1)  # integers, so 1 only when nothing is spanned
+    size, d = options.size, 10 * span
+
+    # screen coordinates times d; lengths scale by size*8/d
+    def sx(world: int) -> int:
+        return size * (5 * span + 4 * (2 * (world - xmin) - span_x))
+
+    def sy(world: int) -> int:
+        return size * (5 * span - 4 * (2 * (world - ymin) - span_y))
+
     body: list[str] = []
     for figure in figures:
-        body.extend(_emit_figure(figure, t, options))
+        if isinstance(figure, Square):
+            h = w(figure.half_side)
+            x, y = sx(w(figure.center.x) - h), sy(w(figure.center.y) + h)
+            side = _fmt(size * 16 * h, d)
+            body.append(
+                f'<rect class="square" x="{_fmt(x, d)}" y="{_fmt(y, d)}" '
+                f'width="{side}" height="{side}" '
+                f'fill="none" stroke="#1f3a5f" stroke-width="1.5"/>'
+            )
+        elif isinstance(figure, Circle):
+            cx, cy = sx(w(figure.center.x)), sy(w(figure.center.y))
+            body.append(
+                f'<circle class="circle" cx="{_fmt(cx, d)}" cy="{_fmt(cy, d)}" '
+                f'r="{_fmt(size * 8 * w(figure.radius), d)}" '
+                f'fill="none" stroke="#a23b3b" stroke-width="1.5"/>'
+            )
+        elif isinstance(figure, Segment):
+            body.append(
+                f'<line class="segment" x1="{_fmt(sx(w(figure.a.x)), d)}" '
+                f'y1="{_fmt(sy(w(figure.a.y)), d)}" '
+                f'x2="{_fmt(sx(w(figure.b.x)), d)}" y2="{_fmt(sy(w(figure.b.y)), d)}" '
+                f'stroke="#6b6b6b" stroke-width="1"/>'
+            )
+        else:
+            cx, cy = sx(w(figure.x)), sy(w(figure.y))
+            body.append(
+                f'<circle class="mark" cx="{_fmt(cx, d)}" cy="{_fmt(cy, d)}" '
+                f'r="3.000" fill="#a23b3b" stroke="none"/>'
+            )
+            if options.show_labels:
+                # digits, signs, points and ellipses only: nothing to escape;
+                # labels sit 5 px right of and above their mark
+                digits = options.label_digits
+                body.append(
+                    f'<text class="label" x="{_fmt(cx + 5 * d, d)}" '
+                    f'y="{_fmt(cy - 5 * d, d)}" font-size="12">'
+                    f"({to_decimal(figure.x, digits)}, {to_decimal(figure.y, digits)})</text>"
+                )
     head = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

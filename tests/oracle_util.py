@@ -1,5 +1,8 @@
-"""Shared independent oracle: high-precision mpmath values as exact Fractions."""
+"""Shared independent oracle: high-precision mpmath values as exact Fractions,
+and a count of the calls a computation makes into ``fractions``."""
 
+import fractions
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -35,3 +38,20 @@ def oracle(expr, prec: int = 1000) -> Fraction:
     """Evaluate a thunk under ``prec`` working bits and freeze the result."""
     with mpmath.workprec(prec):
         return mpf_fraction(expr())
+
+
+def fraction_calls(run) -> dict:
+    """``{function name: calls}`` of the calls ``run()`` makes into fractions.py."""
+    calls: dict = {}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls[frame.f_code.co_name] = calls.get(frame.f_code.co_name, 0) + 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return calls

@@ -256,6 +256,18 @@ def test_run_svg_without_figures_exits_2(tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["run", str(DEMOS / "dani_circle.sulva"), "--svg"], ["render", "manava_dani", "-o"]],
+)
+def test_unwritable_output_path_exits_2(tmp_path, command):
+    target = tmp_path / "missing" / "x.svg"
+    result = invoke(*command, str(target))
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ")
+    assert str(target) in result.stderr
+
+
 # -- render ----------------------------------------------------------------------
 
 

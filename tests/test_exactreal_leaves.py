@@ -6,8 +6,6 @@ The kernel itself makes no call into ``fractions``; a profile of a fixed
 computation counts them.  Decimals are checked against the mpmath oracle.
 """
 
-import fractions
-import sys
 from fractions import Fraction
 from math import gcd
 
@@ -27,7 +25,7 @@ from sulvalab.exactreal import (
     to_decimal,
 )
 
-from oracle_util import mp_value, mpf_fraction
+from oracle_util import fraction_calls, mp_value, mpf_fraction
 
 # -- the rational layer against Fraction -------------------------------------------
 
@@ -140,18 +138,7 @@ def _fixed_computation(quantity: Quantity) -> None:
 def test_the_kernel_makes_no_fraction_calls():
     # coercing a Fraction reads its properties, so the quantity is built first
     quantity = Quantity(sqrt(2), Fraction(3, 7))
-    calls: dict[str, int] = {}
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename == fractions.__file__:
-            calls[frame.f_code.co_name] = calls.get(frame.f_code.co_name, 0) + 1
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        _fixed_computation(quantity)
-    finally:
-        sys.setprofile(previous)
+    calls = fraction_calls(lambda: _fixed_computation(quantity))
     assert calls == {}, f"{sum(calls.values())} calls into fractions.py: {calls}"
 
 

@@ -17,6 +17,7 @@ from sulvalab.geom import (
     distance_squared,
     divide_segment,
     point,
+    shape,
     similar,
     square_area,
     trisector_lines,
@@ -219,6 +220,14 @@ def test_scaling_covariance():
         assert (radius - base_radius * k).sign() == 0
         area = square_area(scaled).constant_part()
         assert (area - base_area * k * k).sign() == 0
+
+
+def test_shape_gives_placing_points_and_half_extent():
+    a, b, h = point(1, 2), point(-1, sqrt(3)), sqrt(5)
+    assert shape(a) == ((a,), None)
+    assert shape(Segment(a, b)) == ((a, b), None)
+    assert shape(Square(b, h)) == ((b,), h)
+    assert shape(Circle(a, h)) == ((a,), h)
 
 
 def test_similar_maps_every_figure_kind():

@@ -1,7 +1,9 @@
 """Byte-for-byte golden outputs: CLI artifacts, demo reports and figures,
 every script-callable rule placed off the origin at a size other than 1,
-repeated ``analysis.full_table`` calls in one process, and a fixed sequence
-of enclosures, signs and decimals of nested radicals up to height 6.
+repeated ``analysis.full_table`` calls in one process, a fixed sequence
+of enclosures, signs and decimals of nested radicals up to height 6, and
+SVG edge cases: zero and one-axis spans, values closer than one 64-bit grid
+cell, and odd canvas sizes.
 
 Each artifact group is produced in a fresh interpreter.  Memos are pure
 caches, so repeated calls in one process give the same bytes; the
@@ -145,6 +147,42 @@ text = json.dumps(records, indent=2) + "\\n"
 """
 
 
+# scenes that span nothing, one axis only, or about one 64-bit grid cell
+# (1/3 and 1/3 +- 2**-100 share a cell, 1 and 1 - 2**-100 lie in neighbouring
+# ones), and every rule with figures run at size 2/3 and placed at
+# (7/2, sqrt(2)); all with labels, on odd canvases
+_EDGE_CODE = """
+import sys
+from fractions import Fraction
+from pathlib import Path
+from sulvalab import catalog
+from sulvalab.exactreal import from_rational, sqrt
+from sulvalab.geom import Circle, Segment, Square, point
+from sulvalab.svg_render import RenderOptions, render_rule_output, to_svg
+out = Path(sys.argv[1])
+third, tiny = Fraction(1, 3), Fraction(1, 2**100)
+scenes = {
+    "lone_point": [point(third, -2)],
+    "points_in_one_cell": [point(third, third), point(third + tiny, third - tiny)],
+    "points_one_cell_apart": [point(third, 1), point(third + tiny, 1 - tiny)],
+    "vertical_segment": [Segment(point(1, 0), point(1, sqrt(3)))],
+    "horizontal_segment": [Segment(point(0, 2), point(Fraction(5, 3), 2))],
+    "tiny_circle": [Circle(point(sqrt(2), 1), from_rational(1, 2**100))],
+    "square_and_far_point": [Square(point(0, 0), from_rational(1, 2)), point(10**6, -sqrt(3))],
+}
+parts = []
+for size in (101, 333, 1001):
+    options = RenderOptions(size=size, show_labels=True)
+    for name, figures in scenes.items():
+        parts.append(f"# {name} size={size}\\n" + to_svg(figures, options))
+    for rule_id in catalog.rule_ids():
+        run = catalog.lookup(rule_id).run(Fraction(2, 3), point(Fraction(7, 2), sqrt(2)))
+        if run.figures:
+            parts.append(f"# {rule_id} size={size}\\n" + render_rule_output(run, options))
+(out / "render_edge_cases.txt").write_bytes("".join(parts).encode())
+"""
+
+
 def _run(args: list) -> bytes:
     proc = subprocess.run(
         [sys.executable, *args], env=child_env(), capture_output=True, timeout=300
@@ -162,6 +200,7 @@ def capture(out: Path) -> None:
     _run(["-c", _PLACED_CODE, str(out)])
     _run(["-c", _TABLE_CODE, str(out)])
     _run(["-c", _DEEP_CODE, str(out)])
+    _run(["-c", _EDGE_CODE, str(out)])
 
 
 @pytest.fixture(scope="module")

@@ -11,6 +11,8 @@ from sulvalab.exactreal import DomainError, enclose, from_rational, sqrt
 from sulvalab.geom import Circle, point
 from sulvalab.svg_render import RenderOptions, _approx, render_rule_output, to_svg
 
+from oracle_util import fraction_calls
+
 
 def dani_scene():
     out = lookup("manava_dani").run(1)
@@ -54,7 +56,16 @@ def test_coordinates_do_not_depend_on_earlier_enclosures():
     value = sqrt(2) + sqrt(3) / 7
     before = _approx(value)
     enclose(value, 1024)  # leaves a tighter memo than the 64 bits used here
-    assert _approx(value) == before == enclose(value, 64).midpoint()
+    assert _approx(value) == before
+    assert before.as_fraction() == enclose(value, 64).midpoint()
+
+
+def test_rendering_makes_no_fraction_calls():
+    out = lookup("manava_dani").run(Fraction(3, 2), point(sqrt(2), Fraction(-7, 2)))
+    scene = list(out.figures) + list(out.witness_points)
+    options = RenderOptions(size=333, show_labels=True)
+    calls = fraction_calls(lambda: to_svg(scene, options))
+    assert calls == {}, f"{sum(calls.values())} calls into fractions.py: {calls}"
 
 
 def test_all_coordinates_inside_canvas():
@@ -100,6 +111,10 @@ def test_options_validated():
         RenderOptions(size=50)
     with pytest.raises(DomainError):
         RenderOptions(label_digits=0)
+    for bad in ({"size": 1000.0}, {"size": True}, {"size": "800"},
+                {"label_digits": 2.5}, {"label_digits": True}, {"label_digits": Fraction(4)}):
+        with pytest.raises(DomainError, match="must be an int"):
+            RenderOptions(**bad)
 
 
 def test_point_auto_labels_toggle():
