@@ -22,7 +22,6 @@ maps the figures only on first access.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from typing import Callable, Optional
 
@@ -163,7 +162,7 @@ class Rule:
         if k.sign() != 1:
             raise DomainError("input length must be positive")
         unit = self.unit()
-        unit_size = k.is_rational() and k.as_fraction() == 1
+        unit_size = k.is_rational() and k.num == k.den == 1
         if unit_size and center.x.is_zero() and center.y.is_zero():
             return unit
         claimed, actual = unit.claimed, unit.actual
@@ -301,7 +300,7 @@ def _gupta_unit() -> RuleOutput:
     """
     square = Square(_ORIGIN, from_rational(1, 2))
     outer = circumscribed_circle(square)
-    circle = Circle(square.center, outer.radius * Fraction(4, 5))
+    circle = Circle(square.center, outer.radius * from_rational(4, 5))
     return RuleOutput(
         figures=(square, outer, circle),
         claimed=square_area(square),

@@ -611,14 +611,19 @@ def _is_ancestor(a: Optional[Tower], b: Optional[Tower]) -> bool:
     return False
 
 
+def _int_pair(value: object) -> tuple[int, int]:
+    """An int or a Fraction as its numerator and positive denominator."""
+    if isinstance(value, int):
+        return int(value), 1  # a bool is an int, and prints as one
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    raise DomainError(f"cannot interpret {value!r} as a rational")
+
+
 def _coerce(value: object) -> Optional["ConstructibleReal"]:
     if isinstance(value, ConstructibleReal):
         return value
-    if isinstance(value, int):
-        return _rat(int(value), 1)  # a bool is an int, and prints as one
-    if isinstance(value, Fraction):
-        return _rat(value.numerator, value.denominator)
-    return None
+    return _rat(*_int_pair(value)) if isinstance(value, (int, Fraction)) else None
 
 
 def _comparison(
@@ -657,12 +662,14 @@ class ConstructibleReal:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_rational(cls, numerator: int, denominator: int = 1) -> "ConstructibleReal":
-        """Exact rational element at tower level 0."""
-        if denominator == 0:
+    def from_rational(
+        cls, numerator: RationalLike, denominator: RationalLike = 1
+    ) -> "ConstructibleReal":
+        """Exact rational element at tower level 0, from ints or Fractions."""
+        (n, p), (d, q) = _int_pair(numerator), _int_pair(denominator)
+        if d == 0:
             raise DomainError("zero denominator")
-        value = Fraction(numerator, denominator)  # reduced, the sign on top
-        return _rat(value.numerator, value.denominator)
+        return _reduced(n * q, p * d) if d > 0 else _reduced(-n * q, -p * d)  # (n/p) / (d/q)
 
     # -- structure ---------------------------------------------------------
 
@@ -855,7 +862,7 @@ def constructible(value: Coercible) -> ConstructibleReal:
     return x
 
 
-def from_rational(numerator: int, denominator: int = 1) -> ConstructibleReal:
+def from_rational(numerator: RationalLike, denominator: RationalLike = 1) -> ConstructibleReal:
     return ConstructibleReal.from_rational(numerator, denominator)
 
 

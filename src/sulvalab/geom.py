@@ -133,7 +133,7 @@ def similar(figure: Figure, k: ConstructibleReal, offset: Point) -> Figure:
     The multiply is skipped when ``k`` is 1 and the add when ``offset`` is
     the origin, so a length the map leaves alone stays the same value.
     """
-    scale = not (k.is_rational() and k.as_fraction() == 1)
+    scale = not (k.is_rational() and k.num == k.den == 1)
     shift = not (offset.x.is_zero() and offset.y.is_zero())
     anchors, extent = shape(figure)
     images = []

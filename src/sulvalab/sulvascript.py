@@ -21,23 +21,23 @@ explicit stack)::
     args     := (expr ("," expr)*)?
     literal  := NUMBER ("/" NUMBER)?      # "17/12", "3", "0.25" (= 1/4)
 
-Comments run from ``#`` to end of line.  All numeric literals are exact
-rationals; a decimal literal denotes its exact finite value, never a
-float.  Catalog rules are callable by id (a figure argument recenters the
-construction on that figure), so scripts double as executable notes on
-each rule.  An expression nests at most ``MAX_NESTING`` levels of ``-``
-and calls, a numeric literal has at most ``MAX_LITERAL_DIGITS`` digits,
-the numbers that arithmetic, ``area``, ``distance2`` and rule calls
-return have rational parts of at most ``MAX_VALUE_DIGITS`` digits, and
-``divide`` cuts a segment into at most ``MAX_PARTS`` parts; input past any
-of these bounds gets a positioned diagnostic marked ``limit``.
+Comments run from ``#`` to end of line.  The lexer reads each numeric
+literal straight into an exact kernel rational, so a decimal literal
+denotes its exact finite value, never a float.  Catalog rules are
+callable by id (a figure argument recenters the construction on that
+figure), so scripts double as executable notes on each rule.  An
+expression nests at most ``MAX_NESTING`` levels of ``-`` and calls, a
+numeric literal has at most ``MAX_LITERAL_DIGITS`` digits, the numbers
+that arithmetic, ``area``, ``distance2`` and rule calls return have
+rational parts of at most ``MAX_VALUE_DIGITS`` digits, and ``divide``
+cuts a segment into at most ``MAX_PARTS`` parts; input past any of these
+bounds gets a positioned diagnostic marked ``limit``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 from operator import attrgetter
 from typing import Callable, NamedTuple, Optional, Sequence, TypeVar, Union
@@ -50,6 +50,7 @@ from .exactreal import (
     Quantity,
     UnsupportedQuantityError,
     constructible,
+    from_rational,
     sqrt,
     to_decimal,
 )
@@ -132,7 +133,7 @@ class Diagnostic:
 
 @dataclass
 class Literal:
-    value: Fraction
+    value: ConstructibleReal
     line: int = field(compare=False, default=0)
     column: int = field(compare=False, default=0)
 
@@ -272,7 +273,7 @@ _TOKEN = re.compile(
 class _Token(NamedTuple):
     kind: str  # "ident", "number", "symbol", "eof"
     text: str
-    value: Optional[Fraction]
+    value: Optional[ConstructibleReal]
     line: int
     column: int
 
@@ -304,10 +305,13 @@ def _lex(source: str) -> tuple[list[_Token], list[Diagnostic]]:
             message = f"numeric literal longer than {MAX_LITERAL_DIGITS} digits"
             diagnostics.append(Diagnostic(message, line, column, limit=True))
             # a stand-in value lets the parser go on to later diagnostics
-            tokens.append(_Token(kind, text, Fraction(1), line, column))
-        else:
-            value = Fraction(text) if kind == "number" else None
+            tokens.append(_Token(kind, text, constructible(1), line, column))
+        elif kind == "number":
+            whole, _, part = text.partition(".")  # int() reads any \d digit
+            value = from_rational(int(whole + part), 10 ** len(part))
             tokens.append(_Token(kind, text, value, line, column))
+        else:
+            tokens.append(_Token(kind, text, None, line, column))
     tokens.append(_Token("eof", "", None, line, pos - line_start + 1))
     return tokens, diagnostics
 
@@ -347,10 +351,7 @@ class _Parser:
         return token
 
     def recover_to_semicolon(self) -> None:
-        while self.current.kind != "eof":
-            if self.current.kind == "symbol" and self.current.text == ";":
-                self.advance()
-                return
+        while self.current.kind != "eof" and self.match_symbol(";") is None:
             self.advance()
 
     def parse_program(self) -> Script:
@@ -391,14 +392,16 @@ class _Parser:
         self.advance()
         if name.text in self.defined:
             self.error(f"redefinition of {name.text!r}", name)
-        if self.expect_symbol("=") is None:
-            raise _SyntaxAbort
-        expr = self.parse_expr()
-        if self.expect_symbol(";") is None:
-            raise _SyntaxAbort
-        # record the binding even if the initializer had errors, so later
-        # references do not cascade into spurious unresolved diagnostics
-        self.defined.add(name.text)
+        try:
+            if self.expect_symbol("=") is None:
+                raise _SyntaxAbort
+            expr = self.parse_expr()
+            if self.expect_symbol(";") is None:
+                raise _SyntaxAbort
+        finally:
+            # record the binding even if the initializer had errors, so later
+            # references do not cascade into spurious unresolved diagnostics
+            self.defined.add(name.text)
         return Let(name.text, expr, keyword.line, keyword.column)
 
     def parse_assert(self, keyword: _Token) -> Assert:
@@ -491,8 +494,7 @@ class _Parser:
         token = self.advance()
         assert token.value is not None
         value = token.value
-        if self.current.kind == "symbol" and self.current.text == "/":
-            self.advance()
+        if self.match_symbol("/"):
             denom_token = self.current
             if denom_token.kind != "number":
                 self.error("expected a denominator", denom_token)
@@ -500,13 +502,13 @@ class _Parser:
             self.advance()
             assert denom_token.value is not None
             denom = denom_token.value
-            if value.denominator != 1 or denom.denominator != 1:
+            if value.den != 1 or denom.den != 1:
                 self.error(
                     "rational literals take integer parts, like 17/12",
-                    token if value.denominator != 1 else denom_token,
+                    token if value.den != 1 else denom_token,
                 )
                 raise _SyntaxAbort
-            if denom == 0:
+            if denom.is_zero():
                 self.error("zero denominator in literal", denom_token)
                 raise _SyntaxAbort
             value = value / denom
@@ -628,10 +630,9 @@ def _argument(kind: str, label: str, value: Value) -> object:
         raise _EvalError(f"{label} must be a {kind}, got {got}")
     if kind == "integer":
         number = _argument("number", label, value)
-        frac = number.as_fraction() if number.is_rational() else None
-        if frac is None or frac.denominator != 1:
+        if not (number.is_rational() and number.den == 1):
             raise _EvalError(f"{label} must be an integer")
-        return int(frac)
+        return number.num
     if kind == "witnesses":
         points = _argument("rule output", label, value).witness_points
         if points is None:

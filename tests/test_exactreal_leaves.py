@@ -10,6 +10,7 @@ from fractions import Fraction
 from math import gcd
 
 import mpmath
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -106,6 +107,42 @@ def test_equal_rationals_are_structurally_equal():
     assert structurally_equal(from_rational(2, 4), from_rational(1, 2))
     assert structurally_equal(from_rational(-2, -4), from_rational(1, 2))
     assert structurally_equal(from_rational(0, -7), constructible(0))
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        ((Fraction(1, 3), 2), Fraction(1, 6)),
+        ((3, -6), Fraction(-1, 2)),
+        ((True, 2), Fraction(1, 2)),
+        ((Fraction(3, 4), Fraction(-9, 8)), Fraction(-2, 3)),
+        ((-5,), Fraction(-5)),
+    ],
+)
+def test_from_rational_reads_ints_and_fractions(args, expected):
+    _assert_canonical(from_rational(*args), expected)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1, 0), "zero denominator"),
+        ((Fraction(1, 2), Fraction(0)), "zero denominator"),
+        ((0.1,), "cannot interpret"),
+        ((1.5, 2), "cannot interpret"),
+        (("3",), "cannot interpret"),
+        ((1, None), "cannot interpret"),
+        ((constructible(3),), "cannot interpret"),
+        ((1, sqrt(2)), "cannot interpret"),
+    ],
+    ids=[
+        "zero", "fraction-zero", "float", "float-numerator", "str", "none",
+        "constructible", "irrational",
+    ],
+)
+def test_from_rational_rejects_what_it_cannot_read(args, message):
+    with pytest.raises(er.DomainError, match=message):
+        from_rational(*args)
 
 
 # -- no call into fractions.py --------------------------------------------------

@@ -22,6 +22,9 @@ from sulvalab.sulvascript import (
     parse,
     render_report,
 )
+from sulvalab.svg_render import to_svg
+
+from oracle_util import fraction_calls
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "demos"
 CORPUS = sorted(CORPUS_DIR.glob("*.sulva"))
@@ -70,6 +73,19 @@ def test_decimal_literals_are_exact_rationals():
     literal = script.statements[0].expr
     assert isinstance(literal, Literal)
     assert literal.value == Fraction(1, 4)
+    # leading and trailing zeros, non-ASCII decimal digits and a spaced
+    # negative rational
+    for spelling, value, text, decimal in [
+        ("007", Fraction(7), "7", "7"),
+        ("1.50", Fraction(3, 2), "3/2", "1.5"),
+        ("٣.٣", Fraction(33, 10), "33/10", "3.3"),
+        ("١/٢", Fraction(1, 2), "1/2", "0.5"),
+        ("- 3 / 4", Fraction(-3, 4), "-3/4", "-0.75"),
+    ]:
+        script = parse_ok(f"let x = {spelling};\nemit x;")
+        assert script.statements[0].expr.value == value
+        assert format_script(script) == f"let x = {text};\nemit x;\n"
+        assert render_report(evaluate(script)) == f"x = {decimal}\n"
 
 
 def test_rational_literal_with_spaces():
@@ -81,6 +97,22 @@ def test_zero_denominator_literal():
     errs = errors_of("let x = 1/0;")
     assert len(errs) == 1
     assert "denominator" in errs[0].message
+
+
+@pytest.mark.parametrize(
+    "first, expected",
+    [
+        ("let x = 1/0;", [(1, 11, "zero denominator in literal")]),
+        ("let x = ;", [(1, 9, "expected an expression")]),
+        ("let x = sqrt(2;", [(1, 15, "expected ')'")]),
+        ("let x 1;", [(1, 7, "expected '='")]),
+        ("let x = add(x, 1);", [(1, 13, "unresolved reference 'x'")]),
+    ],
+    ids=["zero-denominator", "no-initializer", "unclosed-call", "no-equals", "self"],
+)
+def test_a_let_with_a_bad_initializer_still_binds_its_name(first, expected):
+    errs = errors_of(first + "\nlet y = add(x, 1);\nemit y;")
+    assert [(d.line, d.column, d.message) for d in errs] == expected
 
 
 def test_unknown_names_each_get_a_diagnostic():
@@ -460,6 +492,19 @@ def test_deterministic_evaluation_bytes():
         result = evaluate(parse(source).script)
         reports.append(render_report(result, digits=12).encode())
     assert reports[0] == reports[1]
+
+
+def test_the_script_path_makes_no_fraction_calls():
+    sources = [path.read_text(encoding="utf-8") for path in CORPUS]
+
+    def run() -> None:
+        for source in sources:
+            result = evaluate(parse(source).script)
+            render_report(result)
+            to_svg(extract_figures(result))
+
+    calls = fraction_calls(run)
+    assert calls == {}, f"{sum(calls.values())} calls into fractions.py: {calls}"
 
 
 def test_render_report_shape():
