@@ -146,6 +146,68 @@ text = json.dumps(records, indent=2) + "\\n"
 (out / "deep_towers_sequence.json").write_bytes(text.encode())
 """
 
+# the edges of the kernel's enclosures: grid cells of values below 1, just
+# under a power of two and negative, at the smallest precisions and at 200
+# bits; pi's fractional part and percentages over it, also over a negative
+# denominator; decimals of negative irrationals and of pi-quantities; and the
+# sign of nested radicals of heights 4 and 6 minus the midpoint of a 900-bit
+# cell, which lies a hair from the value
+_EDGES_CODE = """
+import json
+import sys
+from pathlib import Path
+from sulvalab import exactreal as er
+from sulvalab.exactreal import PI, Quantity, enclose, enclose_percent, sqrt, to_decimal
+out = Path(sys.argv[1])
+
+def endpoints(interval):
+    return [interval.lo.as_decimal(), interval.hi.as_decimal()]
+
+tiny = er.from_rational(1, 2**200)
+values = {
+    "1/3": er.from_rational(1, 3),
+    "sqrt(2) - 1": sqrt(2) - 1,
+    "sqrt(3)/7": sqrt(3) / 7,
+    "sqrt(1 - 2**-200)": sqrt(1 - tiny),
+    "sqrt(4 - 2**-200)": sqrt(4 - tiny),
+    "8 - sqrt(2)/2**100": 8 - sqrt(2) / 2**100,
+    "1/2 - sqrt(2)/2**120": er.from_rational(1, 2) - sqrt(2) / 2**120,
+    "-sqrt(2)": -sqrt(2),
+    "-sqrt(1 - 2**-200)": -sqrt(1 - tiny),
+    "1 - sqrt(3)": 1 - sqrt(3),
+    "-(sqrt(5) + 2)/1024": -(sqrt(5) + 2) / 1024,
+}
+record = {"enclose": {}, "pi": {}, "to_decimal": {}, "near_sign": {}}
+for name, value in values.items():
+    record["enclose"][name] = {p: endpoints(enclose(value, p)) for p in (4, 5, 8, 200)}
+for p in (8, 64, 1024):
+    record["pi"][p] = {
+        "PI - 3": endpoints((PI - 3).enclose(p)),
+        "percent (PI - 3)/PI": endpoints(enclose_percent(PI - 3, PI, p)),
+    }
+record["pi"]["percent (PI - 3)/(3 - PI*sqrt(2))"] = endpoints(
+    enclose_percent(PI - 3, Quantity(3, -sqrt(2)), 64)
+)
+decimals = {
+    "-sqrt(2)": -sqrt(2),
+    "1 - sqrt(3)": 1 - sqrt(3),
+    "-(sqrt(5) + 2)/1024": -(sqrt(5) + 2) / 1024,
+    "(3 - PI)/7": (3 - PI) / 7,
+    "PI*sqrt(2) - 5": PI.scale(sqrt(2)) - 5,
+}
+for name, value in decimals.items():
+    record["to_decimal"][name] = {d: to_decimal(value, d) for d in (0, 1, 30, 60)}
+for radicands in ([19, 31, 43, 61], [7, 47, 67, 79, 89, 101]):
+    x = sqrt(radicands[0])
+    for a in radicands[1:]:
+        x = sqrt(x + a)
+    y = (x + 1) / (x - 1)
+    key = f"height {x.tower.height}: {radicands}"
+    record["near_sign"][key] = er.sign(y - enclose(y, 900).midpoint())
+text = json.dumps(record, indent=2) + "\\n"
+(out / "enclosure_edges.json").write_bytes(text.encode())
+"""
+
 
 # scenes that span nothing, one axis only, or about one 64-bit grid cell
 # (1/3 and 1/3 +- 2**-100 share a cell, 1 and 1 - 2**-100 lie in neighbouring
@@ -200,6 +262,7 @@ def capture(out: Path) -> None:
     _run(["-c", _PLACED_CODE, str(out)])
     _run(["-c", _TABLE_CODE, str(out)])
     _run(["-c", _DEEP_CODE, str(out)])
+    _run(["-c", _EDGES_CODE, str(out)])
     _run(["-c", _EDGE_CODE, str(out)])
 
 
