@@ -13,11 +13,15 @@ Canonical form makes the zero test structural, which in turn makes
 A :class:`Quantity` is a linear combination ``c0 + c1*pi`` with
 constructible coefficients; circle areas and circumferences live here.
 
-An :class:`Interval` is a certified enclosure with arbitrary-precision
-dyadic endpoints; every operation rounds outward, so a reported interval
-always contains the true real value.  :func:`enclose` reports the cell of a
-fixed dyadic grid that holds the value, so its endpoints are a function of
-the value and the precision.
+Inside the kernel, a value's working enclosure is a ball of ints
+``(m, r, e)``, the interval ``[(m - r) * 2**e, (m + r) * 2**e]`` (Arb's
+midpoint-radius form): a node ``a + b*sqrt(d)`` costs one product of
+midpoints, and every rounding widens the radius, so the ball always holds
+the true value.  Signs, grid cells and decimals are decided exactly on the
+ends of these balls.  An :class:`Interval` is the public certified
+enclosure, with arbitrary-precision dyadic endpoints: :func:`enclose`
+reports the cell of a fixed dyadic grid that holds the value, so its
+endpoints are a function of the value and the precision.
 
 pi is computed on demand from Machin's formula
 ``pi = 16*atan(1/5) - 4*atan(1/239)``, summed in integers with a counted
@@ -32,10 +36,10 @@ tower cap (:func:`set_tower_cap`) and the registry of towers are process
 state: every new square root reads the cap, and a tower opened by one call
 is reused by all later ones.  The memos, pi's among them, are pure
 caches: they change speed, never bytes.  Each value memoizes its latest
-working enclosure, and arithmetic shares subtrees (and so their memos)
-between values; a per-tower root memo keeps the square root of each
-radicand's enclosure at the current working precision, reused only for an
-equal enclosure at equal precision.
+working ball, and arithmetic shares subtrees (and so their memos) between
+values; a per-tower root memo keeps the square root of each radicand's
+ball at the current working precision, reused only for an equal ball at
+equal precision.
 """
 
 from __future__ import annotations
@@ -94,9 +98,18 @@ _DEFAULT_SIGN_BITS = 256
 _tower_cap = _DEFAULT_TOWER_CAP
 
 
+def _whole(value: object, name: str) -> int:
+    """``value`` when it is an int; a DomainError for anything else, a bool
+    or a float with an integral value among them.  Every precision, digit
+    count and tower cap passes through here."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise DomainError(f"{name} must be an int, not {value!r}")
+
+
 def set_tower_cap(height: int) -> None:
     """Set the maximum tower height for newly adjoined square roots."""
-    if height < 1:
+    if _whole(height, "tower cap") < 1:
         raise DomainError("tower cap must be at least 1")
     global _tower_cap
     _tower_cap = height
@@ -195,171 +208,151 @@ def _int_str(n: int) -> str:
     return _int_str(high) + _int_str(low).rjust(half, "0")
 
 
-def _fraction_floor(n: int, d: int, bits: int) -> Dyadic:
-    """Largest dyadic with about ``bits`` significant bits <= n/d (coprime, d > 0)."""
-    if n == 0:
-        return _DY_ZERO
-    grid = n.bit_length() - d.bit_length() - bits
-    q = n // (d << grid) if grid >= 0 else (n << -grid) // d
-    return Dyadic.of(q, grid)
+# Raw enclosures are balls of ints: (m, r, e) stands for the interval
+# [(m - r) * 2**e, (m + r) * 2**e], with r >= 0, and r == 0 exactly when it
+# is exact.  The kernels keep the midpoint to ``bits + 4`` significant bits
+# and the radius to a few units of its last place, so a node ``a + b*s``
+# costs one product of full-precision midpoints, while each radius term
+# multiplies a midpoint by a radius of a few bits.  Rounding floors the
+# midpoint and the radius and adds one unit for each floor.  Answers are
+# decided on the ends ``(m - r, e)`` and ``(m + r, e)`` as int pairs; a
+# Dyadic is built only for an endpoint of a public Interval.
+
+_Ball = tuple[int, int, int]
+_Pair = tuple[int, int]
+_GUARD = 4  # midpoint bits past the working precision
 
 
-def _fraction_ceil(n: int, d: int, bits: int) -> Dyadic:
-    # the grid depends on |n| alone, so it is the grid of the floor of -n/d
-    return -_fraction_floor(-n, d, bits)
-
-
-def _round(man: int, exp: int, bits: int, up: bool) -> Dyadic:
-    """The dyadic with at most ``bits`` significant bits next to man * 2**exp:
-    the least one >= it when ``up``, else the greatest one <= it."""
-    shift = man.bit_length() - bits
+def _ball_round(m: int, r: int, e: int, n: int) -> _Ball:
+    """The ball ``(m, r, e)`` with its midpoint floored to ``n`` significant
+    bits, or to those of the radius when it is longer; an exact ball stays
+    exact while nothing is cut off."""
+    shift = max(m.bit_length(), r.bit_length()) - n
     if shift <= 0:
-        return Dyadic.of(man, exp)
-    return Dyadic.of(-((-man) >> shift) if up else man >> shift, exp + shift)
+        return m, r, e
+    top = m >> shift
+    if r or top << shift != m:
+        r = (r >> shift) + 2
+    return top, r, e + shift
 
 
-def _sqrt_round(x: Dyadic, bits: int, up: bool) -> Dyadic:
-    """Dyadic bound for sqrt(x), x >= 0: an upper one when ``up``, else a lower one."""
-    if x.man == 0:
-        return _DY_ZERO
-    r = _round(x.man, x.exp, 2 * bits + 4, up)
-    grid = min((r.man.bit_length() + r.exp + 1) // 2 - bits - 2, r.exp // 2)
-    scaled = r.man << (r.exp - 2 * grid)
-    s = isqrt(scaled)
-    if up and s * s != scaled:
-        s += 1
-    return Dyadic.of(s, grid)
+def _riv_add_mul(a: _Ball, b: _Ball, s: _Ball, bits: int) -> _Ball:
+    """``a + b*s``: one product of midpoints, rounded before and after the sum.
 
-
-# raw enclosures are (lo, hi) pairs of Dyadic, rounded outward at each step.
-# The multiply, add-multiply and width kernels work on integer mantissas: they
-# align exponents by shifting and keep bits + 1 significant bits, which is
-# the grid _fraction_floor and _fraction_ceil pick for the same value, so
-# they return the same dyadics without a gcd.
-
-_Raw = tuple[Dyadic, Dyadic]
-
-
-def _riv_add_mul(a: _Raw, b: _Raw, r: _Raw, bits: int) -> _Raw:
-    """``a + b*r``: the product rounded outward to ``bits + 1`` bits, then the sum.
-
-    A rounding to n significant bits depends on the value alone, not on its
-    (mantissa, exponent) form, so the product stays an unnormalized integer
-    pair and only the two results become dyadics.
+    Over the ball, ``|b*s - bm*sm| <= |bm|*sr + |sm|*br + br*sr``.
     """
-    n = bits + 1
-    (bl_man, bl_exp), (bh_man, bh_exp) = b
-    (rl_man, rl_exp), (rh_man, rh_exp) = r
-    exp = min(bl_exp, bh_exp) + min(rl_exp, rh_exp)
-    products = (
-        bl_man * rl_man << (bl_exp + rl_exp - exp),
-        bl_man * rh_man << (bl_exp + rh_exp - exp),
-        bh_man * rl_man << (bh_exp + rl_exp - exp),
-        bh_man * rh_man << (bh_exp + rh_exp - exp),
-    )
-    lo, hi = min(products), max(products)
-    lo_exp = hi_exp = exp
-    shift = lo.bit_length() - n
-    if shift > 0:
-        lo, lo_exp = lo >> shift, exp + shift
-    shift = hi.bit_length() - n
-    if shift > 0:
-        hi, hi_exp = -((-hi) >> shift), exp + shift
-    (al_man, al_exp), (ah_man, ah_exp) = a
-    if al_exp >= lo_exp:
-        lo += al_man << (al_exp - lo_exp)
+    n = bits + _GUARD
+    (am, ar, ae), (bm, br, be), (sm, sr, se) = a, b, s
+    m, r, e = _ball_round(bm * sm, abs(bm) * sr + abs(sm) * br + br * sr, be + se, n)
+    if not (am or ar):
+        return m, r, e
+    if ae >= e:
+        m += am << (ae - e)
+        r += ar << (ae - e)
     else:
-        lo, lo_exp = al_man + (lo << (lo_exp - al_exp)), al_exp
-    if ah_exp >= hi_exp:
-        hi += ah_man << (ah_exp - hi_exp)
-    else:
-        hi, hi_exp = ah_man + (hi << (hi_exp - ah_exp)), ah_exp
-    return _round(lo, lo_exp, n, False), _round(hi, hi_exp, n, True)
+        m, r, e = am + (m << (e - ae)), ar + (r << (e - ae)), ae
+    return _ball_round(m, r, e, n)
 
 
-_RAW_ZERO = (_DY_ZERO, _DY_ZERO)
+_BALL_ZERO = (0, 0, 0)
 
 
-def _riv_mul(a: _Raw, b: _Raw, bits: int) -> _Raw:
+def _riv_mul(a: _Ball, b: _Ball, bits: int) -> _Ball:
     # adding an exact zero leaves the product's rounding as it is
-    return _riv_add_mul(_RAW_ZERO, a, b, bits)
+    return _riv_add_mul(_BALL_ZERO, a, b, bits)
 
 
-def _quotient(x: Dyadic, y: Dyadic) -> tuple[int, int]:
-    """``x / y`` for ``y > 0`` as coprime ``(n, d)`` with ``d > 0``."""
-    shift = x.exp - y.exp
-    n, d = (x.man << shift, y.man) if shift >= 0 else (x.man, y.man << -shift)
-    g = gcd(n, d)
-    return n // g, d // g
+def _riv_div(a: _Ball, b: _Ball, bits: int) -> _Ball:
+    """``a / b`` for a ball ``b`` apart from zero: one quotient of midpoints.
 
-
-def _riv_div(a: _Raw, b: _Raw, bits: int) -> _Raw:
-    (a0, a1), (b0, b1) = a, b
-    if b0.man <= 0 <= b1.man:
+    Over the balls, ``|a/b - am/bm| <= (ar*|bm| + |am|*br) / (|bm|*(|bm| - br))``.
+    """
+    (am, ar, ae), (bm, br, be) = a, b
+    if abs(bm) <= br:
         raise DomainError("interval division by an interval containing zero")
-    if b1.man < 0:  # a/b = (-a)/(-b)
-        (a0, a1), (b0, b1) = (-a1, -a0), (-b1, -b0)
-    # over b > 0, each end of a goes over the end of b that moves it furthest out
-    lo = _quotient(a0, b1 if a0.man >= 0 else b0)
-    hi = _quotient(a1, b0 if a1.man >= 0 else b1)
-    return _fraction_floor(*lo, bits), _fraction_ceil(*hi, bits)
+    if bm < 0:  # a/b = (-a)/(-b)
+        am, bm = -am, -bm
+    shift = bits + _GUARD + bm.bit_length() - max(am.bit_length(), ar.bit_length())
+    spread = ar * bm + abs(am) * br
+    if shift >= 0:
+        q, rest = divmod(am << shift, bm)
+        spread <<= shift
+        below = bm * (bm - br)
+    else:
+        q, rest = divmod(am, bm << -shift)
+        below = bm * (bm - br) << -shift
+    r = -(-spread // below) + (rest != 0)
+    return q, r, ae - be - shift
 
 
-def _riv_sqrt(a: _Raw, bits: int) -> _Raw:
-    if a[1].man < 0:
+def _riv_sqrt(a: _Ball, bits: int) -> _Ball:
+    """The square root of a ball: one ``isqrt`` of the midpoint.
+
+    With the midpoint scaled to ``M`` at an even exponent and ``s = isqrt(M)``,
+    ``|sqrt(v) - s| < R/s + 1`` for every ``v`` within ``R`` of ``M``.
+    """
+    m, r, e = a
+    if m + r < 0:
         raise DomainError("interval square root of a negative interval")
-    lo = _DY_ZERO if a[0].man < 0 else _sqrt_round(a[0], bits, False)
-    return lo, _sqrt_round(a[1], bits, True)
+    # about twice the working bits, at an even exponent
+    length = max(m.bit_length(), r.bit_length())
+    shift = length - 2 * (bits + _GUARD)
+    shift += (e + shift) & 1
+    if shift > 0:
+        m, r, e = _ball_round(m, r, e, length - shift)  # cuts ``shift`` bits
+    else:
+        m, r, e = m << -shift, r << -shift, e + shift
+    if m <= r:  # the ball reaches zero: [0, sqrt(m + r)]
+        top = isqrt(m + r) + (r > 0)
+        return top, top, e // 2 - 1
+    s = isqrt(m)
+    if not r and s * s == m:
+        return s, 0, e // 2
+    return s, -(-r // s) + 1, e // 2
 
 
-def _riv_width_ok(lo: Dyadic, hi: Dyadic, precision_bits: int) -> bool:
-    """``hi - lo <= 2**(1 - precision_bits) * max(1, |hi|)``, in integers."""
-    (lo_man, lo_exp), (hi_man, hi_exp) = lo, hi
-    if hi_exp >= lo_exp:
-        width, width_exp = (hi_man << (hi_exp - lo_exp)) - lo_man, lo_exp
-    else:
-        width, width_exp = hi_man - (lo_man << (lo_exp - hi_exp)), hi_exp
-    if hi_man and hi_man.bit_length() + hi_exp > 0:  # |hi| >= 1
-        scale, scale_exp = abs(hi_man), hi_exp + 1 - precision_bits
-    else:
-        scale, scale_exp = 1, 1 - precision_bits
-    if width_exp >= scale_exp:
-        return width << (width_exp - scale_exp) <= scale
-    return width <= scale << (scale_exp - width_exp)
+def _riv_width_ok(x: _Ball, precision_bits: int) -> bool:
+    """``2r * 2**e <= 2**(1 - precision_bits) * max(1, |m + r| * 2**e)``, in integers."""
+    m, r, e = x
+    if not r or r << precision_bits <= abs(m + r):
+        return True
+    shift = e + precision_bits
+    return r << shift <= 1 if shift >= 0 else r <= 1 << -shift
 
 
 _T = TypeVar("_T")
 
 
 def _refine(
-    encloser: Callable[[int], _Raw],
+    encloser: Callable[[int], _Ball],
     bits: int,
-    decide: Callable[[Dyadic, Dyadic, int], Optional[_T]],
+    decide: Callable[[_Pair, _Pair, int], Optional[_T]],
 ) -> _T:
-    """Enclose at ``bits``, doubling it until ``decide(lo, hi, bits)`` answers."""
+    """Enclose at ``bits``, doubling it until ``decide(lo, hi, bits)`` answers
+    on the ends of the ball as ``(man, exp)`` int pairs."""
     while True:
-        lo, hi = encloser(bits)
-        answer = decide(lo, hi, bits)
+        m, r, e = encloser(bits)
+        answer = decide((m - r, e), (m + r, e), bits)
         if answer is not None:
             return answer
         bits *= 2
 
 
-def _interval_sign(lo: Dyadic, hi: Dyadic, bits: int) -> Optional[int]:
+def _interval_sign(lo: _Pair, hi: _Pair, bits: int) -> Optional[int]:
     """The sign an enclosure proves, or None while it straddles zero.
 
     A certified enclosure that is exactly ``[0, 0]`` proves zero.
     """
-    if lo.man > 0:
+    if lo[0] > 0:
         return 1
-    if hi.man < 0:
+    if hi[0] < 0:
         return -1
-    if lo.man == 0 and hi.man == 0:
+    if lo[0] == 0 and hi[0] == 0:
         return 0
     return None
 
 
-def _grid_index(v: Dyadic, precision_bits: int, up: bool) -> tuple[int, int]:
+def _grid_index(v: _Pair, precision_bits: int, up: bool) -> tuple[int, int]:
     """``(k, step)`` of the grid point ``k * 2**step`` of precision ``p`` next
     to ``v``: the least one >= v when ``up``, else the greatest one <= v.
 
@@ -376,7 +369,7 @@ def _grid_index(v: Dyadic, precision_bits: int, up: bool) -> tuple[int, int]:
 
 
 def _grid_cell(
-    encloser: Callable[[int], _Raw],
+    encloser: Callable[[int], _Ball],
     precision_bits: int,
     sign_at: Callable[[Dyadic], int],
 ) -> Interval:
@@ -390,11 +383,11 @@ def _grid_cell(
     settles on which side of that point the value lies.  Both steps end for
     every value: its enclosures shrink to it, and exact signs terminate.
     """
-    p = precision_bits
+    p = _whole(precision_bits, "precision_bits")
     if p < 4:
         raise DomainError("precision_bits must be at least 4")
 
-    def decide(lo: Dyadic, hi: Dyadic, bits: int) -> Optional[Interval]:
+    def decide(lo: _Pair, hi: _Pair, bits: int) -> Optional[Interval]:
         first, first_step = _grid_index(lo, p, True)
         last, last_step = _grid_index(hi, p, False)
         step = min(first_step, last_step)
@@ -414,6 +407,16 @@ def _grid_cell(
     return _refine(encloser, p + 16, decide)
 
 
+def _span(lo: Dyadic, hi: Dyadic) -> _Ball:
+    """The ball with ends ``lo`` and ``hi``: their sum and difference on the
+    finer of their grids, at half its step."""
+    (lo_man, lo_exp), (hi_man, hi_exp) = lo, hi
+    exp = min(lo_exp, hi_exp)
+    lo_man <<= lo_exp - exp
+    hi_man <<= hi_exp - exp
+    return hi_man + lo_man, hi_man - lo_man, exp - 1
+
+
 @dataclass(frozen=True, slots=True)
 class Interval:
     """Certified enclosure ``[lo, hi]`` of a real value.
@@ -427,21 +430,20 @@ class Interval:
     precision_bits: int
 
     def __post_init__(self) -> None:
-        if self.precision_bits < 1:
+        if _whole(self.precision_bits, "precision_bits") < 1:
             raise DomainError("precision_bits must be positive")
-        if self.lo > self.hi:
+        span = _span(self.lo, self.hi)
+        if span[1] < 0:
             raise DomainError("interval endpoints out of order")
-        if not _riv_width_ok(self.lo, self.hi, self.precision_bits):
+        if not _riv_width_ok(span, self.precision_bits):
             raise DomainError("interval wider than its precision label allows")
 
     def width(self) -> Fraction:
         return self.hi.as_fraction() - self.lo.as_fraction()
 
     def midpoint(self) -> Fraction:
-        (lo_man, lo_exp), (hi_man, hi_exp) = self.lo, self.hi
-        exp = min(lo_exp, hi_exp)
-        total = (lo_man << (lo_exp - exp)) + (hi_man << (hi_exp - exp))
-        return Dyadic.of(total, exp - 1).as_fraction()
+        m, _, e = _span(self.lo, self.hi)
+        return Dyadic.of(m, e).as_fraction()
 
     def contains(self, value: Union[RationalLike, Dyadic]) -> bool:
         f = value.as_fraction() if isinstance(value, Dyadic) else Fraction(value)
@@ -504,11 +506,11 @@ def _pi_floor(n: int) -> int:
 _pi_memo = (3, 0)
 
 
-def _riv_pi(bits: int) -> _Raw:
-    """``[f, f + ulp]`` for the ``bits``-bit floor ``f`` of pi: the tightest
-    ``bits``-bit enclosure.  A memo too narrow for ``bits`` at least doubles;
-    one shift of it serves both ends, as pi is not dyadic, and reads only its
-    top ``bits`` bits.
+def _riv_pi(bits: int) -> _Ball:
+    """``[f, f + ulp]`` for the ``bits``-bit floor ``f = k * 2**e`` of pi, the
+    tightest ``bits``-bit enclosure, as the ball ``(2k + 1, 1, e - 1)``.  A
+    memo too narrow for ``bits`` at least doubles; one shift of it serves
+    both ends, as pi is not dyadic, and reads only its top ``bits`` bits.
     """
     global _pi_memo
     man, n = _pi_memo
@@ -518,16 +520,15 @@ def _riv_pi(bits: int) -> _Raw:
         man = _pi_floor(n)
         _pi_memo = man, n
         shift = man.bit_length() - bits
-    man, exp = man >> shift, shift - n
-    return Dyadic.of(man, exp), Dyadic.of(man + 1, exp)
+    return 2 * (man >> shift) + 1, 1, shift - n - 1
 
 
 def pi_enclosure(precision_bits: int) -> Interval:
     """Certified enclosure of pi, at any precision."""
-    if precision_bits < 1:
+    if _whole(precision_bits, "precision_bits") < 1:
         raise DomainError("precision_bits must be positive")
-    lo, hi = _riv_pi(precision_bits + 4)
-    return Interval(lo, hi, precision_bits)
+    m, r, e = _riv_pi(precision_bits + 4)
+    return Interval(Dyadic.of(m - r, e), Dyadic.of(m + r, e), precision_bits)
 
 
 # --------------------------------------------------------------------------
@@ -555,14 +556,14 @@ _ROOT_INDEX: dict[tuple[int, int], tuple["ConstructibleReal", Tower]] = {}
 _ROOT_EXTENSIONS = _ROOT_INDEX.values()
 
 # The per-tower root memo: tower -> (d, _riv_sqrt(d, _root_bits)) for the
-# radicand's enclosure d at working precision _root_bits.  It is emptied
+# radicand's ball d at working precision _root_bits.  It is emptied
 # whenever the precision changes, so it holds the towers of the current
 # traversal, not a root for every tower ever made.
-_ROOTS: dict[Tower, tuple[_Raw, _Raw]] = {}
+_ROOTS: dict[Tower, tuple[_Ball, _Ball]] = {}
 _root_bits = 0
 
 
-def _tower_root(tower: Tower, d: _Raw, bits: int) -> _Raw:
+def _tower_root(tower: Tower, d: _Ball, bits: int) -> _Ball:
     """``_riv_sqrt(d, bits)`` for the radicand enclosure ``d`` of ``tower``, memoized."""
     global _root_bits
     if bits != _root_bits:
@@ -580,10 +581,7 @@ def _extend(parent: Optional[Tower], radicand: "ConstructibleReal") -> Tower:
     """Intern-or-create the extension of ``parent`` by sqrt(radicand)."""
     height = 1 if parent is None else parent.height + 1
     if height > _tower_cap:
-        raise CapacityError(
-            f"tower height cap {_tower_cap} exceeded; "
-            "raise it with set_tower_cap() if intended"
-        )
+        raise CapacityError(f"tower height cap {_tower_cap} exceeded")
     if parent is None:
         # root radicands are rationals: one lookup instead of a scan
         key = radicand.num, radicand.den
@@ -776,23 +774,36 @@ class ConstructibleReal:
 
     # -- enclosures ----------------------------------------------------------
 
-    def _interval_raw(self, bits: int) -> _Raw:
-        """Raw enclosure at ~bits working precision, memoized.
+    def _interval_raw(self, bits: int) -> _Ball:
+        """Raw enclosure at ~bits working precision as a ball ``(m, r, e)``,
+        memoized.
 
-        The memo is returned while it is tight enough for ``bits`` and
-        replaced by a fresh enclosure otherwise.  The enclosure of the
-        tower's root comes from the per-tower root memo when the radicand's
-        enclosure and ``bits`` are the same as when it was stored.  Both
-        memos are pure caches: every answer built on a raw enclosure (a
-        sign, a grid cell, a decimal) is decided exactly, so it does not
-        depend on which certified enclosure the memos hand out.
+        A rational leaf over a power of two is exact while its numerator
+        fits the working bits; any other leaf costs one division, and the
+        ball around its floor ``q`` is ``(2q + 1, 1, e - 1)``.  A node
+        ``a + b*sqrt(d)`` costs one product of midpoints (see
+        :func:`_riv_add_mul`), so an exact zero stays exactly ``(0, 0, e)``
+        and decides in the first round, canonical or not.
+
+        The memo is returned while it passes the width test for ``bits`` and
+        replaced by a fresh ball otherwise.  The ball of the tower's root
+        comes from the per-tower root memo when the radicand's ball and
+        ``bits`` are the same as when it was stored.  Both memos are pure
+        caches: every answer built on a raw enclosure (a sign, a grid cell,
+        a decimal) is decided exactly, so it does not depend on which
+        certified enclosure the memos hand out.
         """
         cached = self._iv
-        if cached is not None and _riv_width_ok(cached[0], cached[1], bits):
+        if cached is not None and _riv_width_ok(cached, bits):
             return cached
         if self.tower is None:
             n, d = self.num, self.den
-            fresh = _fraction_floor(n, d, bits), _fraction_ceil(n, d, bits)
+            if d & (d - 1):  # not a power of two, so n/d is no dyadic
+                e = n.bit_length() - d.bit_length() - bits - _GUARD
+                q = (n << -e) // d if e < 0 else n // (d << e)
+                fresh = 2 * q + 1, 1, e - 1
+            else:
+                fresh = _ball_round(n, 0, 1 - d.bit_length(), bits + _GUARD)
         else:
             assert self.a is not None and self.b is not None
             a = self.a._interval_raw(bits)
@@ -1279,7 +1290,7 @@ class Quantity:
 
     # -- enclosures ------------------------------------------------------------
 
-    def _interval_raw(self, bits: int) -> _Raw:
+    def _interval_raw(self, bits: int) -> _Ball:
         base = self.c0._interval_raw(bits)
         if self.c1.is_zero():
             return base
@@ -1307,18 +1318,17 @@ PI = Quantity(0, 1)
 
 def enclose_percent(num: Quantity, den: Quantity, precision_bits: int) -> Interval:
     """The grid cell of ``precision_bits`` holding ``100*num/den``."""
-    hundred = Dyadic.of(100), Dyadic.of(100)
 
-    # a nonzero den has enclosures apart from zero from some precision on
-    def apart(lo: Dyadic, hi: Dyadic, bits: int) -> Optional[_Raw]:
-        if lo.man == 0 == hi.man:  # a certified [0, 0]
+    # a nonzero den has enclosures apart from zero from some precision on;
+    # the ball with ends lo and hi is (lo + hi, hi - lo) at half their step
+    def apart(lo: _Pair, hi: _Pair, bits: int) -> Optional[_Ball]:
+        if lo[0] == 0 == hi[0]:  # a certified [0, 0]
             raise DomainError("division by zero")
-        return (lo, hi) if lo.man > 0 or hi.man < 0 else None
+        return (lo[0] + hi[0], hi[0] - lo[0], lo[1] - 1) if lo[0] > 0 or hi[0] < 0 else None
 
-    def percent(bits: int) -> _Raw:
+    def percent(bits: int) -> _Ball:
         d = _refine(den._interval_raw, bits, apart)
-        quotient = _riv_div(num._interval_raw(bits), d, bits)
-        return _riv_mul(quotient, hundred, bits)
+        return _riv_mul(_riv_div(num._interval_raw(bits), d, bits), (100, 0, 0), bits)
 
     def sign_at(g: Dyadic) -> int:
         # 100*num/den - g has the sign of (100*num - g*den)*den
@@ -1331,13 +1341,13 @@ def enclose_percent(num: Quantity, den: Quantity, precision_bits: int) -> Interv
 # decimal rendering
 
 
-def _floor_scaled(d: Dyadic, scale: int) -> int:
+def _floor_scaled(d: _Pair, scale: int) -> int:
     """``floor(d * scale)``; ``>>`` floors negative values too."""
     man, exp = d
     return man * scale << exp if exp >= 0 else man * scale >> -exp
 
 
-def _nearest_scaled(d: Dyadic, scale: int) -> int:
+def _nearest_scaled(d: _Pair, scale: int) -> int:
     """``floor(d * scale + 1/2)``, as ``(2*man*scale + 2**-exp) * 2**(exp - 1)``."""
     man, exp = d
     return man * scale << exp if exp >= 0 else ((man * scale << 1) + (1 << -exp)) >> (1 - exp)
@@ -1370,7 +1380,7 @@ def to_decimal(value: Union[Coercible, Quantity], digits: int) -> str:
     ellipsis whenever the printed decimal is not the exact value.  Ties can
     only occur for rational inputs and round half to even.
     """
-    if digits < 0:
+    if _whole(digits, "digits") < 0:
         raise DomainError("digits must be nonnegative")
     if isinstance(value, Quantity):
         if value.is_constant():
@@ -1384,7 +1394,7 @@ def to_decimal(value: Union[Coercible, Quantity], digits: int) -> str:
     # irrational, so on no rounding boundary: refine until both ends agree
     scale = 10**digits
 
-    def decide(lo: Dyadic, hi: Dyadic, bits: int) -> Optional[str]:
+    def decide(lo: _Pair, hi: _Pair, bits: int) -> Optional[str]:
         n_lo = _nearest_scaled(lo, scale)
         return _format_scaled(n_lo, digits) + "…" if n_lo == _nearest_scaled(hi, scale) else None
 

@@ -330,6 +330,19 @@ def test_tower_cap_flag_reaches_the_kernel(tmp_path):
     assert relaxed.exit_code == 0
 
 
+def test_tower_cap_diagnostic_names_only_the_cap(tmp_path):
+    # seven nested square roots under the default cap of 6: the message
+    # names the cap, not a library call the command line cannot make
+    lines = ["let x1 = sqrt(2);"]
+    for k, a in enumerate((3, 5, 7, 11, 13, 17), 2):
+        lines.append(f"let x{k} = sqrt(add({a}, x{k - 1}));")
+    script = tmp_path / "tall.sulva"
+    script.write_text("\n".join(lines + ["emit x7;"]) + "\n")
+    result = invoke("run", str(script))
+    assert result.exit_code == 1
+    assert result.stderr == f"{script}:7:10: error: sqrt(): tower height cap 6 exceeded\n"
+
+
 @pytest.mark.parametrize(
     "args, exit_code",
     [

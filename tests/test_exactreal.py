@@ -157,6 +157,33 @@ def test_tower_cap():
         er.set_tower_cap(old)
 
 
+NON_INT_ARGUMENTS = {
+    "enclose 128.0": lambda: enclose(sqrt(2), 128.0),
+    "method enclose 64.0": lambda: sqrt(3).enclose(64.0),
+    "PI.enclose 64.0": lambda: er.PI.enclose(64.0),
+    "enclose True": lambda: enclose(sqrt(2), True),
+    "enclose_percent 64.0": lambda: enclose_percent(er.PI - 3, er.PI, 64.0),
+    "to_decimal irrational 3.0": lambda: to_decimal(sqrt(2), 3.0),
+    "to_decimal rational 3.0": lambda: to_decimal(from_rational(1, 3), 3.0),
+    "to_decimal '3'": lambda: to_decimal(sqrt(2), "3"),
+    "pi_enclosure 64.5": lambda: pi_enclosure(64.5),
+    "Interval 8.0": lambda: Interval(er.Dyadic.of(1), er.Dyadic.of(1), 8.0),
+    "set_tower_cap 2.5": lambda: er.set_tower_cap(2.5),
+    "set_tower_cap 3.0": lambda: er.set_tower_cap(3.0),
+}
+
+
+@pytest.mark.parametrize("call", NON_INT_ARGUMENTS.values(), ids=NON_INT_ARGUMENTS.keys())
+def test_non_int_precision_digits_and_cap_are_domain_errors(call):
+    old = er.tower_cap()
+    try:
+        with pytest.raises(DomainError, match="must be an int"):
+            call()
+        assert er.tower_cap() == old
+    finally:
+        er.set_tower_cap(old)
+
+
 def test_tower_grows_for_nested_radicals():
     r = sqrt(1 + sqrt(2))
     assert (r * r - (1 + sqrt(2))).sign() == 0
@@ -482,14 +509,13 @@ def test_riv_pi_matches_the_shipped_constant(monkeypatch):
         assert SHIPPED_PI_MAN == int(mpmath.floor(mpmath.pi * 2**1536))
     # widen the memo from nothing, through every precision the constant covered
     monkeypatch.setattr(er, "_pi_memo", (3, 0))
+    # the ball of [f, f + ulp] for the b-bit floor f = f' * 2**(2 - b) of the
+    # shipped constant: (2f' + 1, 1, 1 - b)
+    assert SHIPPED_PI_MAN.bit_length() == 1538
     mismatches = [
         b
         for b in range(2, 1539)
-        if er._riv_pi(b)
-        != (
-            er._round(SHIPPED_PI_MAN, -1536, b, False),
-            er._round(SHIPPED_PI_MAN + 1, -1536, b, True),
-        )
+        if er._riv_pi(b) != (2 * (SHIPPED_PI_MAN >> (1538 - b)) + 1, 1, 1 - b)
     ]
     assert mismatches == []
 
