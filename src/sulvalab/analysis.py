@@ -113,8 +113,6 @@ def _error_operands(rule: Rule, out: RuleOutput) -> tuple[Quantity, Quantity]:
 
 def relative_error(rule_id: str, precision_bits: int = 128) -> Interval:
     """Certified enclosure of the rule's signed relative error, in percent."""
-    if precision_bits < 4:
-        raise DomainError("precision_bits must be at least 4")
     rule = lookup(rule_id)
     if rule.kind not in ERROR_KINDS:
         raise NotApplicableError(f"rule kind {rule.kind!r} has no error target")

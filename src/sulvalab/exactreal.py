@@ -99,9 +99,9 @@ _tower_cap = _DEFAULT_TOWER_CAP
 
 
 def _whole(value: object, name: str) -> int:
-    """``value`` when it is an int; a DomainError for anything else, a bool
-    or a float with an integral value among them.  Every precision, digit
-    count and tower cap passes through here."""
+    """``value`` when it is an int; a DomainError for anything else, bools
+    and integral floats included.  Every precision, digit count and tower
+    cap passes through here."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise DomainError(f"{name} must be an int, not {value!r}")
@@ -254,12 +254,9 @@ def _riv_add_mul(a: _Ball, b: _Ball, s: _Ball, bits: int) -> _Ball:
     return _ball_round(m, r, e, n)
 
 
-_BALL_ZERO = (0, 0, 0)
-
-
 def _riv_mul(a: _Ball, b: _Ball, bits: int) -> _Ball:
     # adding an exact zero leaves the product's rounding as it is
-    return _riv_add_mul(_BALL_ZERO, a, b, bits)
+    return _riv_add_mul((0, 0, 0), a, b, bits)
 
 
 def _riv_div(a: _Ball, b: _Ball, bits: int) -> _Ball:

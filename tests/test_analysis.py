@@ -113,6 +113,12 @@ def test_error_not_applicable():
             relative_error(rule_id)
 
 
+@pytest.mark.parametrize("bits", ["128", 128.0, 3])
+def test_relative_error_rejects_a_precision_the_kernel_rejects(bits):
+    with pytest.raises(DomainError, match="precision_bits must be"):
+        relative_error("baudhayana", bits)
+
+
 def test_kinds_with_pi_and_error_meanings():
     from sulvalab import analysis
 

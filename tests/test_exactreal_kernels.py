@@ -64,15 +64,14 @@ def significant_bits(f: Fraction) -> int:
 
 
 def assert_holds(out, images) -> None:
-    m, r, e = out
-    assert all(isinstance(v, int) for v in out) and r >= 0
+    """``out`` is a ball of ints that holds every one of ``images``."""
+    assert all(isinstance(v, int) for v in out) and out[1] >= 0
     lo, hi = ends(out)
     for image in images:
         assert lo <= image <= hi, (out, image)
 
 
-def ball_of(lo: Dyadic, hi: Dyadic):
-    return er._span(lo, hi)
+ball_of = er._span  # the ball with ends lo and hi
 
 
 mantissas = st.one_of(

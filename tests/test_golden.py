@@ -1,9 +1,11 @@
 """Byte-for-byte golden outputs: CLI artifacts, demo reports and figures,
 every script-callable rule placed off the origin at a size other than 1,
 repeated ``analysis.full_table`` calls in one process, a fixed sequence
-of enclosures, signs and decimals of nested radicals up to height 6, and
-SVG edge cases: zero and one-axis spans, values closer than one 64-bit grid
-cell, and odd canvas sizes.
+of enclosures, signs and decimals of nested radicals up to height 6, the
+edges of the kernel's enclosures (smallest precisions, values just under a
+power of two, negative values, pi and percentages over it), and SVG edge
+cases: zero and one-axis spans, values closer than one 64-bit grid cell,
+and odd canvas sizes.
 
 Each artifact group is produced in a fresh interpreter.  Memos are pure
 caches, so repeated calls in one process give the same bytes; the
