@@ -3,9 +3,10 @@ every script-callable rule placed off the origin at a size other than 1,
 repeated ``analysis.full_table`` calls in one process, a fixed sequence
 of enclosures, signs and decimals of nested radicals up to height 6, the
 edges of the kernel's enclosures (smallest precisions, values just under a
-power of two, negative values, pi and percentages over it), and SVG edge
-cases: zero and one-axis spans, values closer than one 64-bit grid cell,
-and odd canvas sizes.
+power of two, negative values, pi and percentages over it), the trees that
+field arithmetic builds (nested radicals, a product across towers, products
+by small rationals), and SVG edge cases: zero and one-axis spans, values
+closer than one 64-bit grid cell, and odd canvas sizes.
 
 Each artifact group is produced in a fresh interpreter.  Memos are pure
 caches, so repeated calls in one process give the same bytes; the
@@ -210,6 +211,83 @@ text = json.dumps(record, indent=2) + "\\n"
 (out / "enclosure_edges.json").write_bytes(text.encode())
 """
 
+# the trees field arithmetic builds: str() and structural equalities of
+# products, quotients, differences, inverses and powers of nested radicals
+# of heights 2, 4 and 6, of one product across towers, and of products by
+# 0, 1, -1 and 7/3 (and sums with 0) from either side
+_TREES_CODE = """
+import json
+import sys
+from pathlib import Path
+from sulvalab.exactreal import from_rational, sqrt, structurally_equal
+out = Path(sys.argv[1])
+
+def nested(radicands):
+    x = sqrt(radicands[0])
+    for a in radicands[1:]:
+        x = sqrt(x + a)
+    return x
+
+record = {}
+for radicands in ([17, 23], [13, 29, 41, 53], [11, 37, 59, 71, 83, 97]):
+    x = nested(radicands)
+    y = (x + 1) / (x - 1)
+    values = {
+        "x": x,
+        "y = (x + 1)/(x - 1)": y,
+        "x * y": x * y,
+        "y * (x - 1)": y * (x - 1),
+        "y / (x + 2)": y / (x + 2),
+        "x - y": x - y,
+        "y - x*x": y - x * x,
+        "1/y": 1 / y,
+        "x**3": x**3,
+        "x**4": x**4,
+        "y**3": y**3,
+        "y**4": y**4,
+    }
+    same = {
+        "y * (x - 1), x + 1": (y * (x - 1), x + 1),
+        "(x * y) / y, x": ((x * y) / y, x),
+        "x * y, y * x": (x * y, y * x),
+        "x - y, -(y - x)": (x - y, -(y - x)),
+        "(1/y) * y, 1": ((1 / y) * y, from_rational(1)),
+        "x - x, 0": (x - x, from_rational(0)),
+        "y**4, y**3 * y": (y**4, y**3 * y),
+        "y**4, (y * y) * (y * y)": (y**4, (y * y) * (y * y)),
+    }
+    record[f"height {x.tower.height}"] = {
+        "str": {name: str(v) for name, v in values.items()},
+        "structurally_equal": {name: structurally_equal(*pair) for name, pair in same.items()},
+    }
+x = nested([17, 23])
+record["cross"] = {"x * sqrt(101)": str(x * sqrt(101)), "sqrt(101) * x": str(sqrt(101) * x)}
+scalars = {}
+for name, v in (("x", nested([13, 29, 41, 53])), ("(sqrt(2) - 1/3)", sqrt(2) - from_rational(1, 3))):
+    for k_name, k in (("0", 0), ("1", 1), ("-1", -1), ("7/3", from_rational(7, 3))):
+        k = from_rational(k) if isinstance(k, int) else k
+        scalars[f"{name} * {k_name}"] = str(v * k)
+        scalars[f"{k_name} * {name}"] = str(k * v)
+        scalars[f"{name} * {k_name} same as {k_name} * {name}"] = structurally_equal(v * k, k * v)
+    zero = from_rational(0)
+    scalars[f"{name} * 1 same as {name}"] = structurally_equal(v * from_rational(1), v)
+    scalars[f"{name} * -1 same as -{name}"] = structurally_equal(v * from_rational(-1), -v)
+    scalars[f"{name} * 7/3 * 3/7 same as {name}"] = structurally_equal(
+        v * from_rational(7, 3) * from_rational(3, 7), v
+    )
+    for text, value in (
+        (f"{name} + 0", v + zero),
+        (f"0 + {name}", zero + v),
+        (f"{name} - 0", v - zero),
+        (f"0 - {name}", zero - v),
+    ):
+        scalars[text] = str(value)
+    scalars[f"0 - {name} same as -{name}"] = structurally_equal(zero - v, -v)
+record["scalars"] = scalars
+text = json.dumps(record, indent=2) + "\\n"
+(out / "field_trees.json").write_bytes(text.encode())
+"""
+
 
 # scenes that span nothing, one axis only, or about one 64-bit grid cell
 # (1/3 and 1/3 +- 2**-100 share a cell, 1 and 1 - 2**-100 lie in neighbouring
@@ -265,6 +343,7 @@ def capture(out: Path) -> None:
     _run(["-c", _TABLE_CODE, str(out)])
     _run(["-c", _DEEP_CODE, str(out)])
     _run(["-c", _EDGES_CODE, str(out)])
+    _run(["-c", _TREES_CODE, str(out)])
     _run(["-c", _EDGE_CODE, str(out)])
 
 

@@ -4,8 +4,9 @@ A raw enclosure can change shape without changing a byte of output, since
 every answer is decided exactly; it must not change how much work the
 answers take either.  For each computation below this records, in a fresh
 interpreter, the ``bits`` of every round of each ``_refine`` caller (named
-by its function) and the number of ``_interval_raw`` calls, and compares
-them with the counts pinned here:
+by its function), the number of ``_interval_raw`` calls, and the nodes the
+field arithmetic built (calls of ``_rat`` and ``_node``), and compares them
+with the counts pinned here:
 
 - the computations of the golden ``deep_towers_sequence.json``;
 - one benchmark ``adjudicate`` op per error-kind rule at 128 and 1024 bits:
@@ -21,6 +22,8 @@ towers and memos of the earlier ones, as a benchmark run would.
 import json
 import subprocess
 import sys
+
+import pytest
 
 from child_env import child_env
 from test_golden import _DEEP_CODE
@@ -54,13 +57,24 @@ for cls in (er.ConstructibleReal, er.Quantity):
 
     cls._interval_raw = counting
 
+built = {{"_rat": 0, "_node": 0}}
+for name in built:
+    def building(*args, _name=name, _build=getattr(er, name)):
+        built[_name] += 1
+        return _build(*args)
+
+    setattr(er, name, building)
+
 records = {{}}
+nodes = {{}}
 
 def record(name, run):
     rounds.clear()
     calls[0] = 0
+    built.update(dict.fromkeys(built, 0))
     run()
     records[name] = [calls[0], {{k: " ".join(map(str, v)) for k, v in sorted(rounds.items())}}]
+    nodes[name] = [built["_rat"], built["_node"]]
 
 with tempfile.TemporaryDirectory() as tmp:
     sys.argv = ["deep", tmp]
@@ -82,7 +96,7 @@ for rule in rules:
 for rule in rules:
     for bits in (128, 1024):
         record(f"percent {{rule.id}} {{bits}}", lambda: analysis.relative_error(rule.id, bits))
-print(json.dumps(records))
+print(json.dumps([records, nodes]))
 """
 
 _DEEP_SIGNS = (
@@ -90,6 +104,8 @@ _DEEP_SIGNS = (
     " 32 32 32 32 32 32 32 32 32 32 32 32 32 64 128 256 512"
 )
 
+# the deep_towers sequence: interval_raw calls and rounds, then _rat and _node calls
+DEEP_BUILT = [1661, 1061]
 DEEP = [
     1138,
     {
@@ -99,82 +115,97 @@ DEEP = [
     },
 ]
 
-# (rule, bits): (interval_raw calls, sign calls); each op encloses twice from
-# bits + 16 and decides its 30 digits from 164 bits, all in the first round
+# (rule, bits): (interval_raw calls, sign calls, _rat calls, _node calls); each
+# op encloses twice from bits + 16 and decides its 30 digits from 164 bits, all
+# in the first round
 ADJUDICATE = {
-    ("manava_16_5", 128): (11, 1),
-    ("manava_16_5", 1024): (11, 1),
-    ("classical_3", 128): (11, 1),
-    ("classical_3", 1024): (11, 1),
-    ("jaina_sqrt10", 128): (20, 1),
-    ("jaina_sqrt10", 1024): (20, 1),
-    ("baudhayana", 128): (25, 3),
-    ("baudhayana", 1024): (14, 1),
-    ("manava_dani", 128): (29, 4),
-    ("manava_dani", 1024): (14, 1),
-    ("manava_vangelder", 128): (25, 3),
-    ("manava_vangelder", 1024): (14, 1),
-    ("manava_gupta", 128): (19, 3),
-    ("manava_gupta", 1024): (11, 1),
-    ("manava_7_10", 128): (15, 1),
-    ("manava_7_10", 1024): (15, 1),
-    ("standard_12_17", 128): (15, 1),
-    ("standard_12_17", 1024): (15, 1),
-    ("inscribed_exact", 128): (14, 1),
-    ("inscribed_exact", 1024): (10, 0),
-    ("rule_13_15", 128): (11, 1),
-    ("rule_13_15", 1024): (11, 1),
-    ("hayashi", 128): (15, 2),
-    ("hayashi", 1024): (11, 1),
-    ("sqrt2_sulba", 128): (15, 1),
-    ("sqrt2_sulba", 1024): (15, 1),
+    ("manava_16_5", 128): (11, 1, 14, 0),
+    ("manava_16_5", 1024): (11, 1, 9, 0),
+    ("classical_3", 128): (11, 1, 14, 0),
+    ("classical_3", 1024): (11, 1, 9, 0),
+    ("jaina_sqrt10", 128): (20, 1, 17, 3),
+    ("jaina_sqrt10", 1024): (20, 1, 10, 2),
+    ("baudhayana", 128): (25, 3, 44, 7),
+    ("baudhayana", 1024): (14, 1, 10, 1),
+    ("manava_dani", 128): (29, 4, 132, 18),
+    ("manava_dani", 1024): (14, 1, 10, 1),
+    ("manava_vangelder", 128): (25, 3, 107, 11),
+    ("manava_vangelder", 1024): (14, 1, 10, 1),
+    ("manava_gupta", 128): (19, 3, 37, 4),
+    ("manava_gupta", 1024): (11, 1, 10, 0),
+    ("manava_7_10", 128): (15, 1, 34, 6),
+    ("manava_7_10", 1024): (15, 1, 12, 3),
+    ("standard_12_17", 128): (15, 1, 34, 6),
+    ("standard_12_17", 1024): (15, 1, 12, 3),
+    ("inscribed_exact", 128): (14, 1, 50, 11),
+    ("inscribed_exact", 1024): (10, 0, 13, 4),
+    ("rule_13_15", 128): (11, 1, 23, 0),
+    ("rule_13_15", 1024): (11, 1, 10, 0),
+    ("hayashi", 128): (15, 2, 42, 6),
+    ("hayashi", 1024): (11, 1, 10, 0),
+    ("sqrt2_sulba", 128): (15, 1, 17, 3),
+    ("sqrt2_sulba", 1024): (15, 1, 11, 2),
 }
 # the difference of inscribed_exact is an exact zero: its sign needs no
 # refinement, and its decimal is printed from the exact value
 EXACT_DIFFERENCE = {"inscribed_exact"}
 
-# rule: interval_raw calls, at 128 and at 1024 bits alike; the cell and the
-# quotient are both decided in their first round, at bits + 16
+# rule: (interval_raw calls, _rat calls, _node calls), at 128 and at 1024 bits
+# alike; the cell and the quotient are both decided in their first round, at
+# bits + 16
 PERCENT = {
-    "manava_16_5": 6,
-    "classical_3": 6,
-    "jaina_sqrt10": 9,
-    "baudhayana": 8,
-    "manava_dani": 8,
-    "manava_vangelder": 8,
-    "manava_gupta": 5,
-    "manava_7_10": 10,
-    "standard_12_17": 10,
-    "inscribed_exact": 7,
-    "rule_13_15": 6,
-    "hayashi": 6,
-    "sqrt2_sulba": 10,
+    "manava_16_5": (6, 5, 0),
+    "classical_3": (6, 5, 0),
+    "jaina_sqrt10": (9, 4, 0),
+    "baudhayana": (8, 4, 0),
+    "manava_dani": (8, 4, 0),
+    "manava_vangelder": (8, 4, 0),
+    "manava_gupta": (5, 5, 0),
+    "manava_7_10": (10, 7, 2),
+    "standard_12_17": (10, 7, 2),
+    "inscribed_exact": (7, 7, 2),
+    "rule_13_15": (6, 5, 0),
+    "hayashi": (6, 5, 0),
+    "sqrt2_sulba": (10, 7, 2),
 }
 
 
-def _expected() -> dict:
+def _expected() -> tuple[dict, dict]:
+    """The pinned rounds and the pinned nodes built, by computation."""
     expected = {"deep_towers_sequence": DEEP}
-    for (rule, bits), (calls, signs) in ADJUDICATE.items():
+    built = {"deep_towers_sequence": DEEP_BUILT}
+    for (rule, bits), (calls, signs, rats, nodes) in ADJUDICATE.items():
         rounds = {"_grid_cell": f"{bits + 16} {bits + 16}"}
         if signs:
             rounds["sign"] = " ".join(["32"] * signs)
         if rule not in EXACT_DIFFERENCE:
             rounds["to_decimal"] = "164"
         expected[f"adjudicate {rule} {bits}"] = [calls, rounds]
-    for rule, calls in PERCENT.items():
+        built[f"adjudicate {rule} {bits}"] = [rats, nodes]
+    for rule, (calls, rats, nodes) in PERCENT.items():
         for bits in (128, 1024):
             start = str(bits + 16)
             expected[f"percent {rule} {bits}"] = [calls, {"_grid_cell": start, "percent": start}]
-    return expected
+            built[f"percent {rule} {bits}"] = [rats, nodes]
+    return expected, built
 
 
-def test_refinement_rounds_are_pinned(tmp_path):
+@pytest.fixture(scope="module")
+def recorded(tmp_path_factory) -> list:
     proc = subprocess.run(
         [sys.executable, "-c", _ROUNDS_CODE],
         env=child_env(),
         capture_output=True,
         timeout=300,
-        cwd=tmp_path,
+        cwd=tmp_path_factory.mktemp("rounds"),
     )
     assert proc.returncode == 0, proc.stderr.decode()
-    assert json.loads(proc.stdout) == _expected()
+    return json.loads(proc.stdout)
+
+
+def test_refinement_rounds_are_pinned(recorded):
+    assert recorded[0] == _expected()[0]
+
+
+def test_nodes_built_are_pinned(recorded):
+    assert recorded[1] == _expected()[1]
