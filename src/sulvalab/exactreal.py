@@ -37,9 +37,11 @@ state: every new square root reads the cap, and a tower opened by one call
 is reused by all later ones.  The memos, pi's among them, are pure
 caches: they change speed, never bytes.  Each value memoizes its latest
 working ball, and arithmetic shares subtrees (and so their memos) between
-values; a per-tower root memo keeps the square root of each radicand's
-ball at the current working precision, reused only for an equal ball at
-equal precision.
+values: a product with 1, a sum with 0 and a difference ``x - 0`` return
+the other operand itself, memo and all, a product with 0 returns zero, and
+a product with any other rational walks the other tree once.  A per-tower
+root memo keeps the square root of each radicand's ball at the current
+working precision, reused only for an equal ball at equal precision.
 """
 
 from __future__ import annotations
@@ -429,7 +431,13 @@ class Interval:
     def __post_init__(self) -> None:
         if _whole(self.precision_bits, "precision_bits") < 1:
             raise DomainError("precision_bits must be positive")
-        span = _span(self.lo, self.hi)
+        lo, hi = self.lo, self.hi
+        if not (
+            type(lo) is type(hi) is Dyadic
+            and type(lo.man) is type(lo.exp) is type(hi.man) is type(hi.exp) is int
+        ):
+            raise DomainError(f"interval endpoints must be Dyadics of ints, not {lo!r} and {hi!r}")
+        span = _span(lo, hi)
         if span[1] < 0:
             raise DomainError("interval endpoints out of order")
         if not _riv_width_ok(span, self.precision_bits):
@@ -877,24 +885,6 @@ def from_rational(numerator: RationalLike, denominator: RationalLike = 1) -> Con
 # -- internal field arithmetic (operands at arbitrary tower levels) ----------
 
 
-def _split(
-    x: ConstructibleReal, tower: Tower
-) -> tuple[ConstructibleReal, ConstructibleReal]:
-    if x.tower is tower:
-        assert x.a is not None and x.b is not None
-        return x.a, x.b
-    return x, _ZERO
-
-
-def _deeper(x: ConstructibleReal, y: ConstructibleReal) -> Optional[Tower]:
-    tx, ty = x.tower, y.tower
-    if tx is None:
-        return ty
-    if ty is None:
-        return tx
-    return tx if tx.height >= ty.height else ty
-
-
 def _common(
     x: ConstructibleReal, y: ConstructibleReal
 ) -> tuple[ConstructibleReal, ConstructibleReal]:
@@ -948,22 +938,28 @@ def _embed_into(
     return embed
 
 
-def _add(x: ConstructibleReal, y: ConstructibleReal) -> ConstructibleReal:
-    if x.tower is None and y.tower is None:
+def _add(x: ConstructibleReal, y: ConstructibleReal, s: int = 1) -> ConstructibleReal:
+    """``x + s*y`` for ``s`` 1 or -1: the sign reaches ``y`` at its leaves,
+    so a difference never builds ``-y``."""
+    tx, ty = x.tower, y.tower
+    if tx is None and ty is None:
         if x.den == y.den:
-            return _reduced(x.num + y.num, x.den)
-        return _reduced(x.num * y.den + y.num * x.den, x.den * y.den)
+            return _reduced(x.num + s * y.num, x.den)
+        return _reduced(x.num * y.den + s * y.num * x.den, x.den * y.den)
     # share the other operand, memo and all, instead of copying its tree
-    if y.is_zero():
+    if ty is None and not y.num:
         return x
-    if x.is_zero():
-        return y
-    x, y = _common(x, y)
-    tower = _deeper(x, y)
-    assert tower is not None
-    xa, xb = _split(x, tower)
-    ya, yb = _split(y, tower)
-    return _node(tower, _add(xa, ya), _add(xb, yb))
+    if tx is None and not x.num:
+        return y if s > 0 else _neg(y)
+    if tx is not ty:
+        x, y = _common(x, y)
+        tx, ty = x.tower, y.tower
+    if tx is ty:
+        return _node(tx, _add(x.a, y.a, s), _add(x.b, y.b, s))
+    if ty is None or (tx is not None and tx.height > ty.height):
+        # y lies below the top level, so it adds to x's first coefficient only
+        return _node(tx, _add(x.a, y, s), x.b)
+    return _node(ty, _add(x, y.a, s), y.b if s > 0 else _neg(y.b))
 
 
 def _sum_str(a: ConstructibleReal, b: ConstructibleReal, generator: str) -> str:
@@ -989,33 +985,39 @@ def _neg(x: ConstructibleReal) -> ConstructibleReal:
 
 
 def _sub(x: ConstructibleReal, y: ConstructibleReal) -> ConstructibleReal:
-    return _add(x, _neg(y))
+    return _add(x, y, -1)
 
 
 def _mul(x: ConstructibleReal, y: ConstructibleReal) -> ConstructibleReal:
-    if x.tower is None and y.tower is None:
-        # cancel across first, so the product is already coprime
-        xn, xd, yn, yd = x.num, x.den, y.num, y.den
-        g, h = gcd(xn, yd), gcd(yn, xd)
-        return _rat((xn // g) * (yn // h), (xd // h) * (yd // g))
-    if x.is_zero() or y.is_zero():
-        return _ZERO
-    x, y = _common(x, y)
-    tower = _deeper(x, y)
-    assert tower is not None
-    # an operand below the top level is a scalar there: 2 sub-products
-    if x.tower is not tower:
-        assert y.a is not None and y.b is not None
-        return _node(tower, _mul(x, y.a), _mul(x, y.b))
+    if x.tower is None:
+        if y.tower is None:
+            # cancel across first, so the product is already coprime
+            xn, xd, yn, yd = x.num, x.den, y.num, y.den
+            g, h = gcd(xn, yd), gcd(yn, xd)
+            return _rat((xn // g) * (yn // h), (xd // h) * (yd // g))
+        x, y = y, x
+    if y.tower is None:
+        # a rational factor: 1 shares x, memo and all, and 0 is zero
+        if y.num == y.den:
+            return x
+        if not y.num:
+            return _ZERO
+    elif x.tower is not y.tower:
+        x, y = _common(x, y)
+        if x.tower.height < y.tower.height:
+            x, y = y, x
+    tower = x.tower
     assert x.a is not None and x.b is not None
+    # a factor below the top level, a rational one too, is a scalar there:
+    # 2 sub-products, down to the leaves
     if y.tower is not tower:
         return _node(tower, _mul(x.a, y), _mul(x.b, y))
     assert y.a is not None and y.b is not None
-    # Karatsuba, r = sqrt(d): (a + b*r)(c + e*r) = ac + d*be + ((a + b)(c + e) - ac - be)*r
+    # Karatsuba, r = sqrt(d): (a + b*r)(c + e*r) = ac + d*be + ((a + b)(c + e) - (ac + be))*r
     ac = _mul(x.a, y.a)
     be = _mul(x.b, y.b)
     cross = _mul(_add(x.a, x.b), _add(y.a, y.b))
-    return _node(tower, _add(ac, _mul(be, tower.radicand)), _sub(_sub(cross, ac), be))
+    return _node(tower, _add(ac, _mul(be, tower.radicand)), _sub(cross, _add(ac, be)))
 
 
 def _inv(x: ConstructibleReal) -> ConstructibleReal:
@@ -1113,8 +1115,8 @@ def _sqrt_within(
     root_norm = _sqrt_within(tower.parent, norm)
     if root_norm is None:
         return None
-    for candidate_norm in (root_norm, _neg(root_norm)):
-        half = _mul(_add(x0, candidate_norm), _rat(1, 2))
+    for s in (1, -1):
+        half = _mul(_add(x0, root_norm, s), _rat(1, 2))
         if half.sign() <= 0:
             continue
         a = _sqrt_within(tower.parent, half)

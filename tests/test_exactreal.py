@@ -2,6 +2,7 @@
 
 import decimal
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -358,14 +359,14 @@ def test_nested_division_mul_count(monkeypatch, height, budget):
         er.set_tower_cap(old)
 
 
-def _mul_calls(monkeypatch, compute):
-    """``compute()`` and the recursive ``_mul`` calls it made."""
+def _pow_products(monkeypatch, compute):
+    """``compute()`` and the products that ``__pow__`` itself asked for."""
     mul = er._mul
     calls = 0
 
     def counting(a, b):
         nonlocal calls
-        calls += 1
+        calls += sys._getframe(1).f_code.co_name == "__pow__"
         return mul(a, b)
 
     monkeypatch.setattr(er, "_mul", counting)
@@ -376,19 +377,65 @@ def _mul_calls(monkeypatch, compute):
 
 
 def test_power_mul_count(monkeypatch):
-    # the old loop started from a product with one and squared once past
-    # the top bit: 18 calls for x**1 and 31 for x**2, against 13 for x*x
+    # square-and-multiply from the lowest set bit, with no product with one
+    # and no squaring past the top bit; the old loop had both, and took 2, 3,
+    # 4, 4 and 6 products for the powers 1, 2, 3, 4 and 7
     x = sqrt(2) + sqrt(3)
-    one, calls = _mul_calls(monkeypatch, lambda: x**1)
-    assert one is x and calls == 0
-    square, calls = _mul_calls(monkeypatch, lambda: x**2)
-    product, product_calls = _mul_calls(monkeypatch, lambda: x * x)
-    assert calls == product_calls and square == product
-    cube, cube_calls = _mul_calls(monkeypatch, lambda: x**3)
-    fourth, fourth_calls = _mul_calls(monkeypatch, lambda: x**4)
-    assert cube_calls > fourth_calls
-    assert cube == product * x and fourth == product * product
-    assert x**0 == 1 and x**-2 * square == 1 and x**7 == fourth * cube
+    powers = {n: _pow_products(monkeypatch, lambda: x**n) for n in (1, 2, 3, 4, 7)}
+    assert {n: calls for n, (_, calls) in powers.items()} == {1: 0, 2: 1, 3: 2, 4: 2, 7: 4}
+    assert powers[1][0] is x
+    square, cube, fourth = (powers[n][0] for n in (2, 3, 4))
+    assert square == x * x and cube == square * x and fourth == square * square
+    assert x**0 == 1 and x**-2 * square == 1 and powers[7][0] == fourth * cube
+
+
+def _calls(monkeypatch, name, compute):
+    """``compute()`` and the calls of the kernel function ``name`` it made."""
+    function = getattr(er, name)
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return function(*args)
+
+    monkeypatch.setattr(er, name, counting)
+    try:
+        return compute(), calls
+    finally:
+        monkeypatch.undo()
+
+
+NESTED = sqrt(7 + sqrt(5 + sqrt(3)))
+
+
+@pytest.mark.parametrize("x", [sqrt(2) - 1, NESTED], ids=["height 1", "height 3"])
+def test_products_by_one_and_zero_share_the_operand(x):
+    one, zero = from_rational(1), from_rational(0)
+    assert x * one is x and one * x is x and x * 1 is x and 1 * x is x
+    assert (x * zero).is_zero() and (zero * x).is_zero() and (x * 0).is_zero()
+    assert x - zero is x and x - 0 is x and x + zero is x and zero + x is x
+
+
+def test_rational_scalar_products_walk_the_tree_once(monkeypatch):
+    # no level of the tree goes through _common again
+    seven_thirds = from_rational(7, 3)
+    for product in (lambda: NESTED * seven_thirds, lambda: seven_thirds * NESTED):
+        scaled, calls = _calls(monkeypatch, "_common", product)
+        assert calls == 0 and scaled == 7 * NESTED / 3
+
+
+def test_same_tower_operands_skip_common(monkeypatch):
+    x, y = 1 + sqrt(2), 3 - sqrt(2)
+    assert _calls(monkeypatch, "_common", lambda: x * y) == (x * y, 0)
+    assert _calls(monkeypatch, "_common", lambda: x + y) == (4, 0)
+
+
+def test_same_tower_difference_builds_no_negation(monkeypatch):
+    x, y = NESTED * NESTED - 2 * NESTED, 3 * NESTED + from_rational(1, 5)
+    difference, calls = _calls(monkeypatch, "_neg", lambda: x - y)
+    assert calls == 0 and structurally_equal(difference, x + -y)
+    assert _calls(monkeypatch, "_neg", lambda: y * (NESTED - 1) - x)[1] == 0
 
 
 # -- enclose ------------------------------------------------------------------
@@ -709,6 +756,23 @@ def test_interval_constructor_validates():
         Interval(Dyadic.of(2), Dyadic.of(1), 8)
     with pytest.raises(DomainError):
         Interval(Dyadic.of(1), Dyadic.of(2), 30)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (1, 2),
+        ((1, 0), (2, 0)),
+        (er.Dyadic(1.5, 0), er.Dyadic.of(2)),
+        (er.Dyadic.of(1), er.Dyadic(2, 0.0)),
+        (er.Dyadic(True, 0), er.Dyadic.of(2)),
+        (er.Dyadic.of(1), Fraction(2)),
+    ],
+    ids=["ints", "tuples", "float mantissa", "float exponent", "bool mantissa", "Fraction"],
+)
+def test_interval_endpoints_are_dyadics_of_ints(lo, hi):
+    with pytest.raises(DomainError, match="endpoints must be Dyadics of ints"):
+        Interval(lo, hi, 8)
 
 
 def test_dyadic_decimal_is_exact():

@@ -301,14 +301,19 @@ def test_interval_str_rounds_outward_at_twelve_digits():
 # -- tower multiplication ---------------------------------------------------------
 
 
+def _halves(x, tower):
+    """``(a, b)`` with ``x = a + b*sqrt(d)`` over ``tower``; ``b = 0`` below it."""
+    return (x.a, x.b) if x.tower is tower else (x, er.constructible(0))
+
+
 def schoolbook(x, y):
     """(a + b*r)(c + e*r) = (ac + bed) + (ae + bc)*r, recursively."""
     if x.tower is None and y.tower is None:
         return er.constructible(x.frac * y.frac)
     x, y = er._common(x, y)
-    tower = er._deeper(x, y)
-    xa, xb = er._split(x, tower)
-    ya, yb = er._split(y, tower)
+    tower = max((v.tower for v in (x, y) if v.tower is not None), key=lambda t: t.height)
+    xa, xb = _halves(x, tower)
+    ya, yb = _halves(y, tower)
     real = er._add(schoolbook(xa, ya), schoolbook(schoolbook(xb, yb), tower.radicand))
     root = er._add(schoolbook(xa, yb), schoolbook(xb, ya))
     return er._node(tower, real, root)

@@ -105,7 +105,7 @@ _DEEP_SIGNS = (
 )
 
 # the deep_towers sequence: interval_raw calls and rounds, then _rat and _node calls
-DEEP_BUILT = [1661, 1061]
+DEEP_BUILT = [1127, 706]
 DEEP = [
     1138,
     {
@@ -119,32 +119,32 @@ DEEP = [
 # op encloses twice from bits + 16 and decides its 30 digits from 164 bits, all
 # in the first round
 ADJUDICATE = {
-    ("manava_16_5", 128): (11, 1, 14, 0),
-    ("manava_16_5", 1024): (11, 1, 9, 0),
-    ("classical_3", 128): (11, 1, 14, 0),
-    ("classical_3", 1024): (11, 1, 9, 0),
-    ("jaina_sqrt10", 128): (20, 1, 17, 3),
-    ("jaina_sqrt10", 1024): (20, 1, 10, 2),
-    ("baudhayana", 128): (25, 3, 44, 7),
-    ("baudhayana", 1024): (14, 1, 10, 1),
-    ("manava_dani", 128): (29, 4, 132, 18),
-    ("manava_dani", 1024): (14, 1, 10, 1),
-    ("manava_vangelder", 128): (25, 3, 107, 11),
-    ("manava_vangelder", 1024): (14, 1, 10, 1),
-    ("manava_gupta", 128): (19, 3, 37, 4),
-    ("manava_gupta", 1024): (11, 1, 10, 0),
-    ("manava_7_10", 128): (15, 1, 34, 6),
-    ("manava_7_10", 1024): (15, 1, 12, 3),
-    ("standard_12_17", 128): (15, 1, 34, 6),
-    ("standard_12_17", 1024): (15, 1, 12, 3),
-    ("inscribed_exact", 128): (14, 1, 50, 11),
-    ("inscribed_exact", 1024): (10, 0, 13, 4),
-    ("rule_13_15", 128): (11, 1, 23, 0),
-    ("rule_13_15", 1024): (11, 1, 10, 0),
-    ("hayashi", 128): (15, 2, 42, 6),
-    ("hayashi", 1024): (11, 1, 10, 0),
-    ("sqrt2_sulba", 128): (15, 1, 17, 3),
-    ("sqrt2_sulba", 1024): (15, 1, 11, 2),
+    ("manava_16_5", 128): (11, 1, 12, 0),
+    ("manava_16_5", 1024): (11, 1, 7, 0),
+    ("classical_3", 128): (11, 1, 12, 0),
+    ("classical_3", 1024): (11, 1, 7, 0),
+    ("jaina_sqrt10", 128): (20, 1, 16, 3),
+    ("jaina_sqrt10", 1024): (20, 1, 9, 2),
+    ("baudhayana", 128): (25, 3, 37, 7),
+    ("baudhayana", 1024): (14, 1, 8, 1),
+    ("manava_dani", 128): (29, 4, 101, 17),
+    ("manava_dani", 1024): (14, 1, 8, 1),
+    ("manava_vangelder", 128): (25, 3, 81, 10),
+    ("manava_vangelder", 1024): (14, 1, 8, 1),
+    ("manava_gupta", 128): (19, 3, 33, 4),
+    ("manava_gupta", 1024): (11, 1, 8, 0),
+    ("manava_7_10", 128): (15, 1, 28, 4),
+    ("manava_7_10", 1024): (15, 1, 9, 2),
+    ("standard_12_17", 128): (15, 1, 28, 4),
+    ("standard_12_17", 1024): (15, 1, 9, 2),
+    ("inscribed_exact", 128): (14, 1, 41, 8),
+    ("inscribed_exact", 1024): (10, 0, 10, 3),
+    ("rule_13_15", 128): (11, 1, 21, 0),
+    ("rule_13_15", 1024): (11, 1, 8, 0),
+    ("hayashi", 128): (15, 2, 38, 6),
+    ("hayashi", 1024): (11, 1, 8, 0),
+    ("sqrt2_sulba", 128): (15, 1, 14, 3),
+    ("sqrt2_sulba", 1024): (15, 1, 8, 2),
 }
 # the difference of inscribed_exact is an exact zero: its sign needs no
 # refinement, and its decimal is printed from the exact value
@@ -154,19 +154,19 @@ EXACT_DIFFERENCE = {"inscribed_exact"}
 # alike; the cell and the quotient are both decided in their first round, at
 # bits + 16
 PERCENT = {
-    "manava_16_5": (6, 5, 0),
-    "classical_3": (6, 5, 0),
-    "jaina_sqrt10": (9, 4, 0),
-    "baudhayana": (8, 4, 0),
-    "manava_dani": (8, 4, 0),
-    "manava_vangelder": (8, 4, 0),
-    "manava_gupta": (5, 5, 0),
-    "manava_7_10": (10, 7, 2),
-    "standard_12_17": (10, 7, 2),
-    "inscribed_exact": (7, 7, 2),
-    "rule_13_15": (6, 5, 0),
-    "hayashi": (6, 5, 0),
-    "sqrt2_sulba": (10, 7, 2),
+    "manava_16_5": (6, 3, 0),
+    "classical_3": (6, 3, 0),
+    "jaina_sqrt10": (9, 2, 0),
+    "baudhayana": (8, 2, 0),
+    "manava_dani": (8, 2, 0),
+    "manava_vangelder": (8, 2, 0),
+    "manava_gupta": (5, 3, 0),
+    "manava_7_10": (10, 4, 1),
+    "standard_12_17": (10, 4, 1),
+    "inscribed_exact": (7, 4, 1),
+    "rule_13_15": (6, 3, 0),
+    "hayashi": (6, 3, 0),
+    "sqrt2_sulba": (10, 4, 1),
 }
 
 
