@@ -333,6 +333,24 @@ def _nested_radical(height: int):
     return x
 
 
+def _calls(monkeypatch, name, compute, caller=None):
+    """``compute()`` and the calls of the kernel function ``name`` it made;
+    with ``caller``, only the calls made from a function of that name."""
+    function = getattr(er, name)
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += caller is None or sys._getframe(1).f_code.co_name == caller
+        return function(*args)
+
+    monkeypatch.setattr(er, name, counting)
+    try:
+        return compute(), calls
+    finally:
+        monkeypatch.undo()
+
+
 # recursive _mul calls of (x+1)/(x-1); the 5-product schoolbook form made
 # 18,106 at height 6 and 291,101 at height 8
 @pytest.mark.parametrize("height, budget", [(6, 635), (8, 2557)])
@@ -342,38 +360,11 @@ def test_nested_division_mul_count(monkeypatch, height, budget):
     try:
         x = _nested_radical(height)
         assert x.tower.height == height
-        mul = er._mul
-        calls = 0
-
-        def counting(a, b):
-            nonlocal calls
-            calls += 1
-            return mul(a, b)
-
-        monkeypatch.setattr(er, "_mul", counting)
-        y = (x + 1) / (x - 1)
-        monkeypatch.undo()
+        y, calls = _calls(monkeypatch, "_mul", lambda: (x + 1) / (x - 1))
         assert calls <= budget
         assert y * (x - 1) == x + 1
     finally:
         er.set_tower_cap(old)
-
-
-def _pow_products(monkeypatch, compute):
-    """``compute()`` and the products that ``__pow__`` itself asked for."""
-    mul = er._mul
-    calls = 0
-
-    def counting(a, b):
-        nonlocal calls
-        calls += sys._getframe(1).f_code.co_name == "__pow__"
-        return mul(a, b)
-
-    monkeypatch.setattr(er, "_mul", counting)
-    try:
-        return compute(), calls
-    finally:
-        monkeypatch.undo()
 
 
 def test_power_mul_count(monkeypatch):
@@ -381,29 +372,12 @@ def test_power_mul_count(monkeypatch):
     # and no squaring past the top bit; the old loop had both, and took 2, 3,
     # 4, 4 and 6 products for the powers 1, 2, 3, 4 and 7
     x = sqrt(2) + sqrt(3)
-    powers = {n: _pow_products(monkeypatch, lambda: x**n) for n in (1, 2, 3, 4, 7)}
+    powers = {n: _calls(monkeypatch, "_mul", lambda: x**n, "__pow__") for n in (1, 2, 3, 4, 7)}
     assert {n: calls for n, (_, calls) in powers.items()} == {1: 0, 2: 1, 3: 2, 4: 2, 7: 4}
     assert powers[1][0] is x
     square, cube, fourth = (powers[n][0] for n in (2, 3, 4))
     assert square == x * x and cube == square * x and fourth == square * square
     assert x**0 == 1 and x**-2 * square == 1 and powers[7][0] == fourth * cube
-
-
-def _calls(monkeypatch, name, compute):
-    """``compute()`` and the calls of the kernel function ``name`` it made."""
-    function = getattr(er, name)
-    calls = 0
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return function(*args)
-
-    monkeypatch.setattr(er, name, counting)
-    try:
-        return compute(), calls
-    finally:
-        monkeypatch.undo()
 
 
 NESTED = sqrt(7 + sqrt(5 + sqrt(3)))
