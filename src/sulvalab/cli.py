@@ -9,54 +9,28 @@ the requested artifact; diagnostics go to stderr.
 
 from __future__ import annotations
 
-import functools
 import sys
 from fractions import Fraction
 
 import click
 
-from . import analysis, catalog, exactreal, sulvascript, svg_render
+from . import analysis, catalog, sulvascript, svg_render
 from .exactreal import DomainError, to_decimal
 
 __all__ = ["main"]
 
 PRECISION_RANGE = click.IntRange(8, 1024)
 DIGITS_RANGE = click.IntRange(1, 60)
-TOWER_CAP_RANGE = click.IntRange(1, 64)
 
 
 def _common_options(command):
-    """--digits and --tower-cap; the cap holds only while the command runs,
-    also when it ends through ``sys.exit``."""
-
-    @functools.wraps(command)
-    def run(*args, tower_cap: int, **kwargs):
-        previous = exactreal.tower_cap()
-        exactreal.set_tower_cap(tower_cap)
-        try:
-            return command(*args, **kwargs)
-        finally:
-            exactreal.set_tower_cap(previous)
-
-    decorators = [
-        click.option(
-            "--digits",
-            type=DIGITS_RANGE,
-            default=12,
-            show_default=True,
-            help="decimal digits in rendered numbers",
-        ),
-        click.option(
-            "--tower-cap",
-            type=TOWER_CAP_RANGE,
-            default=6,
-            show_default=True,
-            help="maximum quadratic tower height",
-        ),
-    ]
-    for decorator in reversed(decorators):
-        run = decorator(run)
-    return run
+    return click.option(
+        "--digits",
+        type=DIGITS_RANGE,
+        default=12,
+        show_default=True,
+        help="decimal digits in rendered numbers",
+    )(command)
 
 
 def _format_option(command):

@@ -31,17 +31,18 @@ asked for so far.  Since pi is transcendental, ``c0 + c1*pi`` with
 cell and its decimals are decided by refinement alone.
 
 All values are immutable in what they denote, and arithmetic, signs,
-comparisons, enclosures and decimals depend on their arguments alone.  The
-tower cap (:func:`set_tower_cap`) and the registry of towers are process
-state: every new square root reads the cap, and a tower opened by one call
-is reused by all later ones.  The memos, pi's among them, are pure
-caches: they change speed, never bytes.  Each value memoizes its latest
-working ball, and arithmetic shares subtrees (and so their memos) between
-values: a product with 1, a sum with 0 and a difference ``x - 0`` return
-the other operand itself, memo and all, a product with 0 returns zero, and
-a product with any other rational walks the other tree once.  A per-tower
-root memo keeps the square root of each radicand's ball at the current
-working precision, reused only for an equal ball at equal precision.
+comparisons, enclosures and decimals depend on their arguments alone: the
+kernel has no settings, and towers are at most ``MAX_TOWER_HEIGHT`` levels
+tall.  Besides pure caches, the registry of towers is the only process
+state: a tower opened by one call is reused by all later ones.  The memos,
+pi's among them, are pure caches: they change speed, never bytes.  Each
+value memoizes its latest working ball, and arithmetic shares subtrees
+(and so their memos) between values: a product with 1, a sum with 0 and a
+difference ``x - 0`` return the other operand itself, memo and all, a
+product with 0 returns zero, and a product with any other rational walks
+the other tree once.  A per-tower root memo keeps the square root of each
+radicand's ball at the current working precision, reused only for an equal
+ball at equal precision.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ __all__ = [
     "DomainError",
     "Dyadic",
     "Interval",
+    "MAX_TOWER_HEIGHT",
     "PI",
     "Quantity",
     "UnsupportedQuantityError",
@@ -66,12 +68,10 @@ __all__ = [
     "enclose_percent",
     "from_rational",
     "pi_enclosure",
-    "set_tower_cap",
     "sign",
     "sqrt",
     "structurally_equal",
     "to_decimal",
-    "tower_cap",
 ]
 
 RationalLike = Union[int, Fraction]
@@ -83,7 +83,7 @@ class DomainError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """The configured tower height cap was hit."""
+    """A square root would open a tower taller than ``MAX_TOWER_HEIGHT``."""
 
 
 class UnsupportedQuantityError(TypeError):
@@ -93,32 +93,27 @@ class UnsupportedQuantityError(TypeError):
 # --------------------------------------------------------------------------
 # configuration
 
-_DEFAULT_TOWER_CAP = 6
+# the maximum height of a tower; a square root that would open a taller
+# one raises CapacityError
+MAX_TOWER_HEIGHT = 6
+# bench/ reads this; ROADMAP item 1 (the benchmark reading in-package counters) deletes it
+_DEFAULT_TOWER_CAP = MAX_TOWER_HEIGHT
 # bench/ reads this; ROADMAP item 1 (the benchmark reading in-package counters) deletes it
 _DEFAULT_SIGN_BITS = 256
-
-_tower_cap = _DEFAULT_TOWER_CAP
 
 
 def _whole(value: object, name: str) -> int:
     """``value`` when it is an int; a DomainError for anything else, bools
-    and integral floats included.  Every precision, digit count and tower
-    cap passes through here."""
+    and integral floats included.  Every precision and digit count passes
+    through here."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise DomainError(f"{name} must be an int, not {value!r}")
 
 
-def set_tower_cap(height: int) -> None:
-    """Set the maximum tower height for newly adjoined square roots."""
-    if _whole(height, "tower cap") < 1:
-        raise DomainError("tower cap must be at least 1")
-    global _tower_cap
-    _tower_cap = height
-
-
+# bench/ reads this; ROADMAP item 1 (the benchmark reading in-package counters) deletes it
 def tower_cap() -> int:
-    return _tower_cap
+    return MAX_TOWER_HEIGHT
 
 
 # bench/ reads this; ROADMAP item 1 (the benchmark reading in-package counters) deletes it
@@ -585,8 +580,8 @@ def _tower_root(tower: Tower, d: _Ball, bits: int) -> _Ball:
 def _extend(parent: Optional[Tower], radicand: "ConstructibleReal") -> Tower:
     """Intern-or-create the extension of ``parent`` by sqrt(radicand)."""
     height = 1 if parent is None else parent.height + 1
-    if height > _tower_cap:
-        raise CapacityError(f"tower height cap {_tower_cap} exceeded")
+    if height > MAX_TOWER_HEIGHT:
+        raise CapacityError(f"tower height cap {MAX_TOWER_HEIGHT} exceeded")
     if parent is None:
         # root radicands are rationals: one lookup instead of a scan
         key = radicand.num, radicand.den
@@ -928,13 +923,9 @@ def _embed_into(
     for level in chain:
         if _is_ancestor(level, base):
             continue
-        radicand = embed(level.radicand)
-        found = _sqrt_within(target, radicand)
-        if found is None:
-            target = _extend(target, radicand)
-            generators[id(level)] = _node(target, _ZERO, _ONE)
-        else:
-            generators[id(level)] = found if found.sign() > 0 else _neg(found)
+        root = generators[id(level)] = _root(target, embed(level.radicand))
+        if root.tower is not None and root.tower.parent is target:
+            target = root.tower  # adjoined on top
     return embed
 
 
@@ -1028,10 +1019,14 @@ def _inv(x: ConstructibleReal) -> ConstructibleReal:
     assert x.a is not None and x.b is not None
     # 1/(a + b*sqrt(d)) = (a - b*sqrt(d)) / (a^2 - d*b^2); the conjugate norm
     # of a canonical nonzero element is nonzero one level down
-    d = x.tower.radicand
-    norm = _sub(_mul(x.a, x.a), _mul(_mul(x.b, x.b), d))
-    inv_norm = _inv(norm)
+    inv_norm = _inv(_norm(x))
     return _node(x.tower, _mul(x.a, inv_norm), _neg(_mul(x.b, inv_norm)))
+
+
+def _norm(x: ConstructibleReal) -> ConstructibleReal:
+    """The conjugate norm ``a**2 - d*b**2`` of ``x = a + b*sqrt(d)``, one level down."""
+    assert x.tower is not None and x.a is not None and x.b is not None
+    return _sub(_mul(x.a, x.a), _mul(_mul(x.b, x.b), x.tower.radicand))
 
 
 # bench/ reads this; ROADMAP item 1 (the benchmark reading in-package counters) deletes it
@@ -1042,10 +1037,7 @@ def _norm_is_zero(x: ConstructibleReal) -> bool:
     """
     if x.tower is None:
         return x.num == 0
-    assert x.a is not None and x.b is not None
-    d = x.tower.radicand
-    norm = _sub(_mul(x.a, x.a), _mul(_mul(x.b, x.b), d))
-    return _norm_is_zero(norm)
+    return _norm_is_zero(_norm(x))
 
 
 # -- square roots -------------------------------------------------------------
@@ -1109,7 +1101,7 @@ def _sqrt_within(
         return None
     assert x.a is not None and x.b is not None
     x0, x1 = x.a, x.b
-    norm = _sub(_mul(x0, x0), _mul(_mul(x1, x1), d))
+    norm = _norm(x)
     if norm.sign() < 0:
         return None
     root_norm = _sqrt_within(tower.parent, norm)
@@ -1129,6 +1121,15 @@ def _sqrt_within(
     return None
 
 
+def _root(tower: Tower, x: ConstructibleReal) -> ConstructibleReal:
+    """The positive square root of a positive ``x`` over ``tower``: found in
+    its field, or adjoined as a new level on top of it."""
+    found = _sqrt_within(tower, x)
+    if found is None:
+        return _node(_extend(tower, x), _ZERO, _ONE)
+    return found if found.sign() > 0 else _neg(found)
+
+
 def sqrt(value: Coercible) -> ConstructibleReal:
     """Exact square root; reuses the value's tower or adjoins a new level."""
     x = constructible(value)
@@ -1139,11 +1140,7 @@ def sqrt(value: Coercible) -> ConstructibleReal:
         return _ZERO
     if x.tower is None:
         return _sqrt_rational(x.num, x.den)
-    found = _sqrt_within(x.tower, x)
-    if found is not None:
-        return found if found.sign() > 0 else _neg(found)
-    tower = _extend(x.tower, x)
-    return _node(tower, _ZERO, _ONE)
+    return _root(x.tower, x)
 
 
 def sign(value: Coercible) -> int:

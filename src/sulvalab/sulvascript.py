@@ -40,7 +40,7 @@ import re
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
-from typing import Callable, NamedTuple, Optional, Sequence, TypeVar, Union
+from typing import Callable, NamedTuple, NoReturn, Optional, Sequence, TypeVar, Union
 
 from . import catalog
 from .exactreal import (
@@ -329,6 +329,11 @@ class _Parser:
     def error(self, message: str, token: _Token) -> None:
         self.diagnostics.append(Diagnostic(message, token.line, token.column))
 
+    def fail(self, message: str, token: _Token) -> NoReturn:
+        """Record a diagnostic and abandon the statement."""
+        self.error(message, token)
+        raise _SyntaxAbort
+
     @property
     def current(self) -> _Token:
         return self.tokens[self.index]
@@ -344,11 +349,9 @@ class _Parser:
             return self.advance()
         return None
 
-    def expect_symbol(self, text: str) -> Optional[_Token]:
-        token = self.match_symbol(text)
-        if token is None:
-            self.error(f"expected {text!r}", self.current)
-        return token
+    def expect_symbol(self, text: str) -> None:
+        if self.match_symbol(text) is None:
+            self.fail(f"expected {text!r}", self.current)
 
     def recover_to_semicolon(self) -> None:
         while self.current.kind != "eof" and self.match_symbol(";") is None:
@@ -384,20 +387,16 @@ class _Parser:
     def parse_let(self, keyword: _Token) -> Let:
         name = self.current
         if name.kind != "ident":
-            self.error("expected an identifier after 'let'", name)
-            raise _SyntaxAbort
+            self.fail("expected an identifier after 'let'", name)
         if name.text in _KEYWORDS:
-            self.error(f"{name.text!r} is a keyword", name)
-            raise _SyntaxAbort
+            self.fail(f"{name.text!r} is a keyword", name)
         self.advance()
         if name.text in self.defined:
             self.error(f"redefinition of {name.text!r}", name)
         try:
-            if self.expect_symbol("=") is None:
-                raise _SyntaxAbort
+            self.expect_symbol("=")
             expr = self.parse_expr()
-            if self.expect_symbol(";") is None:
-                raise _SyntaxAbort
+            self.expect_symbol(";")
         finally:
             # record the binding even if the initializer had errors, so later
             # references do not cascade into spurious unresolved diagnostics
@@ -410,11 +409,9 @@ class _Parser:
         if op_token.kind == "symbol" and op_token.text in ("==", "<", ">"):
             self.advance()
         else:
-            self.error("expected '==', '<' or '>' in assertion", op_token)
-            raise _SyntaxAbort
+            self.fail("expected '==', '<' or '>' in assertion", op_token)
         right = self.parse_expr()
-        if self.expect_symbol(";") is None:
-            raise _SyntaxAbort
+        self.expect_symbol(";")
         return Assert(left, op_token.text, right, keyword.line, keyword.column)
 
     def parse_emit(self, keyword: _Token) -> Emit:
@@ -422,8 +419,7 @@ class _Parser:
         while True:
             token = self.current
             if token.kind != "ident":
-                self.error("expected an identifier in 'emit'", token)
-                raise _SyntaxAbort
+                self.fail("expected an identifier in 'emit'", token)
             self.advance()
             name = Name(token.text, token.line, token.column)
             if token.text not in self.defined:
@@ -432,8 +428,7 @@ class _Parser:
             if self.match_symbol(","):
                 continue
             break
-        if self.expect_symbol(";") is None:
-            raise _SyntaxAbort
+        self.expect_symbol(";")
         return Emit(names, keyword.line, keyword.column)
 
     def parse_expr(self) -> Expr:
@@ -468,8 +463,7 @@ class _Parser:
                     if token.text not in self.defined:
                         self.error(f"unresolved reference {token.text!r}", token)
             else:
-                self.error("expected an expression", token)
-                raise _SyntaxAbort
+                self.fail("expected an expression", token)
             # hand the finished operand to the pending operators
             while pending:
                 opener, args = pending[-1]
@@ -483,8 +477,7 @@ class _Parser:
                 args.append(expr)
                 if self.match_symbol(","):
                     break  # parse the next argument
-                if self.expect_symbol(")") is None:
-                    raise _SyntaxAbort
+                self.expect_symbol(")")
                 pending.pop()
                 expr = self.close_call(opener, args)
             else:
@@ -497,20 +490,17 @@ class _Parser:
         if self.match_symbol("/"):
             denom_token = self.current
             if denom_token.kind != "number":
-                self.error("expected a denominator", denom_token)
-                raise _SyntaxAbort
+                self.fail("expected a denominator", denom_token)
             self.advance()
             assert denom_token.value is not None
             denom = denom_token.value
             if value.den != 1 or denom.den != 1:
-                self.error(
+                self.fail(
                     "rational literals take integer parts, like 17/12",
                     token if value.den != 1 else denom_token,
                 )
-                raise _SyntaxAbort
             if denom.is_zero():
-                self.error("zero denominator in literal", denom_token)
-                raise _SyntaxAbort
+                self.fail("zero denominator in literal", denom_token)
             value = value / denom
         return Literal(value, token.line, token.column)
 

@@ -16,7 +16,7 @@ from sulvalab.catalog import (
     sqrt2_sulba_constant,
 )
 from sulvalab.exactreal import DomainError, constructible, enclose, from_rational, sqrt
-from sulvalab.geom import Circle, Point, Segment, Square, distance_squared, point, similar
+from sulvalab.geom import Circle, Point, Segment, Square, distance_squared, point, shape, similar
 
 
 from child_env import child_env
@@ -335,6 +335,27 @@ def test_rule_ids_sorted():
     ids = rule_ids()
     assert list(ids) == sorted(ids)
     assert "baudhayana" in ids and "manava_dani" in ids
+
+
+def _unit_values(out):
+    """Every value of a rule's output: claims, figure anchors and extents,
+    witnesses."""
+    values = [out.claimed.c0, out.claimed.c1, out.actual.c0, out.actual.c1]
+    for figure in out.figures:
+        anchors, extent = shape(figure)
+        values += [c for p in anchors for c in (p.x, p.y)]
+        values += [] if extent is None else [extent]
+    values += [c for p in out.witness_points or () for c in (p.x, p.y)]
+    return values
+
+
+def test_catalog_needs_towers_of_height_at_most_2():
+    # far below MAX_TOWER_HEIGHT, so the kernel's bound never shapes a rule
+    heights = {
+        rule.id: max(0 if v.tower is None else v.tower.height for v in _unit_values(rule.run(1)))
+        for rule in CATALOG
+    }
+    assert max(heights.values()) == 2 == heights["manava_dani"]
 
 
 def test_run_validates_size():

@@ -12,7 +12,6 @@ import pytest
 
 from sulvalab.catalog import CATALOG
 from sulvalab.cli import main
-from sulvalab.exactreal import set_tower_cap, tower_cap
 from sulvalab.sulvascript import MAX_PARTS, MAX_VALUE_DIGITS
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -320,16 +319,6 @@ def test_analyze_deduplicates_aliases():
     assert result.stdout.count("manava_dani") == 1
 
 
-def test_tower_cap_flag_reaches_the_kernel(tmp_path):
-    script = tmp_path / "deep.sulva"
-    script.write_text("let x = sqrt(add(1, sqrt(2)));\n")
-    limited = invoke("run", str(script), "--tower-cap", "1")
-    assert limited.exit_code == 1
-    assert "cap" in limited.stderr
-    relaxed = invoke("run", str(script), "--tower-cap", "6")
-    assert relaxed.exit_code == 0
-
-
 def test_tower_cap_diagnostic_names_only_the_cap(tmp_path):
     # seven nested square roots under the default cap of 6: the message
     # names the cap, not a library call the command line cannot make
@@ -343,20 +332,8 @@ def test_tower_cap_diagnostic_names_only_the_cap(tmp_path):
     assert result.stderr == f"{script}:7:10: error: sqrt(): tower height cap 6 exceeded\n"
 
 
-@pytest.mark.parametrize(
-    "args, exit_code",
-    [
-        (["analyze", "gupta"], 0),
-        (["analyze", "archimedes"], 2),
-        (["run", str(DEMOS / "gupta_circle.sulva")], 0),
-        (["render", "manava_gupta"], 0),
-    ],
-)
-def test_tower_cap_flag_does_not_outlive_the_command(args, exit_code):
-    before = tower_cap()
-    try:
-        result = invoke(*args, "--tower-cap", "1")
-        assert result.exit_code == exit_code, result.stderr
-        assert tower_cap() == before
-    finally:
-        set_tower_cap(before)
+def test_tower_cap_flag_is_gone():
+    # the tower height is the fixed exactreal.MAX_TOWER_HEIGHT
+    result = invoke("analyze", "gupta", "--tower-cap", "6")
+    assert result.exit_code == 2
+    assert "No such option" in result.stderr and "--tower-cap" in result.stderr

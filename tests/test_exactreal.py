@@ -147,15 +147,11 @@ def test_sqrt_within_tower_nested():
     assert r.tower is s2.tower
 
 
-def test_tower_cap():
-    old = er.tower_cap()
-    er.set_tower_cap(1)
-    try:
-        s2 = sqrt(2)
-        with pytest.raises(CapacityError):
-            sqrt(1 + s2)
-    finally:
-        er.set_tower_cap(old)
+def test_tower_cap(monkeypatch):
+    monkeypatch.setattr(er, "MAX_TOWER_HEIGHT", 1)
+    s2 = sqrt(2)
+    with pytest.raises(CapacityError):
+        sqrt(1 + s2)
 
 
 NON_INT_ARGUMENTS = {
@@ -169,20 +165,13 @@ NON_INT_ARGUMENTS = {
     "to_decimal '3'": lambda: to_decimal(sqrt(2), "3"),
     "pi_enclosure 64.5": lambda: pi_enclosure(64.5),
     "Interval 8.0": lambda: Interval(er.Dyadic.of(1), er.Dyadic.of(1), 8.0),
-    "set_tower_cap 2.5": lambda: er.set_tower_cap(2.5),
-    "set_tower_cap 3.0": lambda: er.set_tower_cap(3.0),
 }
 
 
 @pytest.mark.parametrize("call", NON_INT_ARGUMENTS.values(), ids=NON_INT_ARGUMENTS.keys())
 def test_non_int_precision_digits_and_cap_are_domain_errors(call):
-    old = er.tower_cap()
-    try:
-        with pytest.raises(DomainError, match="must be an int"):
-            call()
-        assert er.tower_cap() == old
-    finally:
-        er.set_tower_cap(old)
+    with pytest.raises(DomainError, match="must be an int"):
+        call()
 
 
 def test_tower_grows_for_nested_radicals():
@@ -355,16 +344,12 @@ def _calls(monkeypatch, name, compute, caller=None):
 # 18,106 at height 6 and 291,101 at height 8
 @pytest.mark.parametrize("height, budget", [(6, 635), (8, 2557)])
 def test_nested_division_mul_count(monkeypatch, height, budget):
-    old = er.tower_cap()
-    er.set_tower_cap(max(old, height))
-    try:
-        x = _nested_radical(height)
-        assert x.tower.height == height
-        y, calls = _calls(monkeypatch, "_mul", lambda: (x + 1) / (x - 1))
-        assert calls <= budget
-        assert y * (x - 1) == x + 1
-    finally:
-        er.set_tower_cap(old)
+    monkeypatch.setattr(er, "MAX_TOWER_HEIGHT", max(er.MAX_TOWER_HEIGHT, height))
+    x = _nested_radical(height)
+    assert x.tower.height == height
+    y, calls = _calls(monkeypatch, "_mul", lambda: (x + 1) / (x - 1))
+    assert calls <= budget
+    assert y * (x - 1) == x + 1
 
 
 def test_power_mul_count(monkeypatch):
@@ -790,16 +775,12 @@ def test_negative_powers_invert():
         from_rational(0) ** -1
 
 
-def test_merge_exceeding_cap_is_capacity_error():
-    old = er.tower_cap()
-    er.set_tower_cap(2)
-    try:
-        a = sqrt(1 + sqrt(2))
-        b = sqrt(1 + sqrt(3))
-        with pytest.raises(CapacityError):
-            _ = a + b  # the common tower needs more than two levels
-    finally:
-        er.set_tower_cap(old)
+def test_merge_exceeding_cap_is_capacity_error(monkeypatch):
+    monkeypatch.setattr(er, "MAX_TOWER_HEIGHT", 2)
+    a = sqrt(1 + sqrt(2))
+    b = sqrt(1 + sqrt(3))
+    with pytest.raises(CapacityError):
+        _ = a + b  # the common tower needs more than two levels
 
 
 def test_cross_tower_stress_against_oracle():

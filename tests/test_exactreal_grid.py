@@ -108,7 +108,7 @@ def test_endpoints_do_not_depend_on_earlier_calls(x, p, history):
             enclose(x + Fraction(1, 3), bits)
         elif action == "scaled":
             # sqrt(7) may open a level above x's tower, so only below the cap
-            room = x.tower is None or x.tower.height < er.tower_cap()
+            room = x.tower is None or x.tower.height < er.MAX_TOWER_HEIGHT
             enclose(x * (sqrt(7) if room else 7), bits)
         elif action == "part":
             enclose(x.b if x.tower is not None else x, bits)
