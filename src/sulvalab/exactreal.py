@@ -50,6 +50,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, isqrt
 from typing import Callable, NamedTuple, Optional, TypeVar, Union
 
@@ -63,6 +64,7 @@ __all__ = [
     "PI",
     "Quantity",
     "UnsupportedQuantityError",
+    "cell_midpoint",
     "constructible",
     "enclose",
     "enclose_percent",
@@ -366,8 +368,9 @@ def _grid_cell(
     encloser: Callable[[int], _Ball],
     precision_bits: int,
     sign_at: Callable[[Dyadic], int],
-) -> Interval:
-    """The grid cell of precision ``precision_bits`` that holds a value.
+) -> tuple[_Pair, _Pair]:
+    """The ends of the grid cell of precision ``precision_bits`` that holds a
+    value, as ``(man, exp)`` int pairs.
 
     ``[g, g]`` when the value is the grid point ``g``, else the closed cell
     between the two grid points around it: a function of the value and the
@@ -381,27 +384,31 @@ def _grid_cell(
     if p < 4:
         raise DomainError("precision_bits must be at least 4")
 
-    def decide(lo: _Pair, hi: _Pair, bits: int) -> Optional[Interval]:
-        first, first_step = _grid_index(lo, p, True)
-        last, last_step = _grid_index(hi, p, False)
-        step = min(first_step, last_step)
-        gap = (last << (last_step - step)) - (first << (first_step - step))
+    def decide(lo: _Pair, hi: _Pair, bits: int) -> Optional[tuple[_Pair, _Pair]]:
+        first = _grid_index(lo, p, True)
+        last = _grid_index(hi, p, False)
+        step = min(first[1], last[1])
+        gap = (last[0] << (last[1] - step)) - (first[0] << (first[1] - step))
         if gap < 0:  # no grid point inside
-            return Interval(Dyadic.of(last, last_step), Dyadic.of(first, first_step), p)
+            return last, first
         if gap > 0:
             return None
-        g = Dyadic.of(first, first_step)
-        side = 0 if lo == hi else sign_at(g)
+        side = 0 if lo == hi else sign_at(Dyadic.of(*first))
         if side > 0:
-            return Interval(g, Dyadic.of(*_grid_index(hi, p, True)), p)
+            return first, _grid_index(hi, p, True)
         if side < 0:
-            return Interval(Dyadic.of(*_grid_index(lo, p, False)), g, p)
-        return Interval(g, g, p)
+            return _grid_index(lo, p, False), first
+        return first, first
 
     return _refine(encloser, p + 16, decide)
 
 
-def _span(lo: Dyadic, hi: Dyadic) -> _Ball:
+def _cell_interval(lo: _Pair, hi: _Pair, precision_bits: int) -> Interval:
+    """The checked public interval with the ends :func:`_grid_cell` found."""
+    return Interval(Dyadic.of(*lo), Dyadic.of(*hi), precision_bits)
+
+
+def _span(lo: _Pair, hi: _Pair) -> _Ball:
     """The ball with ends ``lo`` and ``hi``: their sum and difference on the
     finer of their grids, at half its step."""
     (lo_man, lo_exp), (hi_man, hi_exp) = lo, hi
@@ -1043,12 +1050,26 @@ def _norm_is_zero(x: ConstructibleReal) -> bool:
 # -- square roots -------------------------------------------------------------
 
 
+def _primes_below(n: int) -> tuple[int, ...]:
+    """The primes below ``n``, by the sieve of Eratosthenes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for p in range(2, isqrt(n - 1) + 1):
+        sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(compress(range(n), sieve))
+
+
+# _square_part's divisors: a composite one would find its primes divided out
+_SMALL_PRIMES = _primes_below(1000)
+
+
 def _square_part(value: int) -> tuple[int, int]:
-    """Split ``value = s*s*k`` with small square factors moved into ``s``."""
+    """Split ``value = s*s*k`` with the square factors of primes below 1000
+    moved into ``s``."""
     s = 1
     v = value
-    p = 2
-    while p * p <= v and p <= 1000:
+    for p in _SMALL_PRIMES:
+        if p * p > v:
+            break
         if v % p == 0:
             exponent = 0
             while v % p == 0:
@@ -1058,7 +1079,6 @@ def _square_part(value: int) -> tuple[int, int]:
             if exponent % 2:
                 v *= p  # leave one factor in the kernel
                 # (re-multiplied once; v was fully divided out above)
-        p = 3 if p == 2 else p + 2
     root = isqrt(v)
     if root * root == v:
         return s * root, 1
@@ -1157,11 +1177,22 @@ def structurally_equal(x: ConstructibleReal, y: ConstructibleReal) -> bool:
     return structurally_equal(x.a, y.a) and structurally_equal(x.b, y.b)
 
 
+def _value_cell(value: Coercible, precision_bits: int) -> tuple[_Pair, _Pair]:
+    x = constructible(value)
+    return _grid_cell(x._interval_raw, precision_bits, lambda g: _sub(x, _grid_point(g)).sign())
+
+
 def enclose(value: Coercible, precision_bits: int) -> Interval:
     """Certified interval containing the value, at relative width 2**(1-p):
     the cell of a fixed dyadic grid that holds it (see :func:`_grid_cell`)."""
-    x = constructible(value)
-    return _grid_cell(x._interval_raw, precision_bits, lambda g: _sub(x, _grid_point(g)).sign())
+    return _cell_interval(*_value_cell(value, precision_bits), precision_bits)
+
+
+def cell_midpoint(value: Coercible, precision_bits: int) -> Dyadic:
+    """The midpoint of ``enclose(value, precision_bits)``, found from the
+    ends of the value's grid cell without building the interval."""
+    m, _, e = _span(*_value_cell(value, precision_bits))
+    return Dyadic.of(m, e)
 
 
 def _grid_point(g: Dyadic) -> ConstructibleReal:
@@ -1294,9 +1325,10 @@ class Quantity:
         return _riv_add_mul(base, coef, _riv_pi(bits), bits)
 
     def enclose(self, precision_bits: int) -> Interval:
-        return _grid_cell(
+        ends = _grid_cell(
             self._interval_raw, precision_bits, lambda g: (self - _grid_point(g)).sign()
         )
+        return _cell_interval(*ends, precision_bits)
 
     # -- rendering ----------------------------------------------------------------
 
@@ -1330,7 +1362,7 @@ def enclose_percent(num: Quantity, den: Quantity, precision_bits: int) -> Interv
         # 100*num/den - g has the sign of (100*num - g*den)*den
         return (num.scale(100) - den.scale(_grid_point(g))).sign() * den.sign()
 
-    return _grid_cell(percent, precision_bits, sign_at)
+    return _cell_interval(*_grid_cell(percent, precision_bits, sign_at), precision_bits)
 
 
 # --------------------------------------------------------------------------

@@ -10,8 +10,8 @@ every run is total and every failure points at a source position::
     assert claimed(out) < actual(out);
     emit out;
 
-Grammar (LL(1); statements by recursive descent, expressions with an
-explicit stack)::
+Grammar (LL(1); one pass over the token lists, with an explicit stack for
+expressions)::
 
     program  := stmt*
     stmt     := "let" IDENT "=" expr ";"
@@ -21,7 +21,7 @@ explicit stack)::
     args     := (expr ("," expr)*)?
     literal  := NUMBER ("/" NUMBER)?      # "17/12", "3", "0.25" (= 1/4)
 
-Comments run from ``#`` to end of line.  The lexer reads each numeric
+Comments run from ``#`` to end of line.  The parser reads each numeric
 literal straight into an exact kernel rational, so a decimal literal
 denotes its exact finite value, never a float.  Catalog rules are
 callable by id (a figure argument recenters the construction on that
@@ -37,10 +37,11 @@ bounds gets a positioned diagnostic marked ``limit``.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from operator import attrgetter
-from typing import Callable, NamedTuple, NoReturn, Optional, Sequence, TypeVar, Union
+from typing import Callable, NoReturn, Optional, Sequence, TypeVar, Union
 
 from . import catalog
 from .exactreal import (
@@ -176,9 +177,9 @@ _R = TypeVar("_R")
 
 
 class _NestingError(ValueError):
-    def __init__(self, at: Union["_Token", Call]):
+    def __init__(self, line: int, column: int):
         super().__init__(f"expression nested more than {MAX_NESTING} levels deep")
-        self.diagnostic = Diagnostic(str(self), at.line, at.column, limit=True)
+        self.diagnostic = Diagnostic(str(self), line, column, limit=True)
 
 
 def _fold(
@@ -204,7 +205,7 @@ def _fold(
             del done[split:]
             done.append(call(node, args))
         elif limit is not None and depth > limit:
-            raise _NestingError(node)
+            raise _NestingError(node.line, node.column)
         else:
             todo.append((node, -1))
             todo.extend([(arg, depth + 1) for arg in reversed(node.args)])
@@ -253,274 +254,257 @@ class ParseResult:
         return self.script is not None
 
 
-# -- lexer ---------------------------------------------------------------------
+# -- scanner ---------------------------------------------------------------------
 
 _KEYWORDS = ("let", "assert", "emit")
 
 # one alternative per token kind, tried in order: whitespace is " \t\r\n"
 # only, a comment runs to the end of its line, digits are str.isdecimal
 # (\d), identifiers continue with str.isalnum or "_" (\w), and any other
-# character is "bad"; a newline is always matched as space
+# character is "bad"; a newline is always matched as space.  A "word" starts
+# with a non-ASCII \w character that is not a digit: an identifier when that
+# character is a letter, else (a numeral such as '²') a bad character.
 _TOKEN = re.compile(
     r"(?P<space>[ \t\r\n]+|#[^\n]*)"
     r"|(?P<number>\d+(?:\.\d+)?)"
-    r"|(?P<ident>[^\W\d]\w*)"
+    r"|(?P<ident>[A-Za-z_]\w*)"
     r"|(?P<symbol>==|[=;,()/<>-])"
+    r"|(?P<word>[^\W\d]\w*)"
     r"|(?P<bad>.)"
 )
 
 
-class _Token(NamedTuple):
-    kind: str  # "ident", "number", "symbol", "eof"
-    text: str
-    value: Optional[ConstructibleReal]
-    line: int
-    column: int
+def _position(newlines: list[int], offset: int) -> tuple[int, int]:
+    """The line and column of ``offset``.  Columns count code points from 1;
+    a carriage return takes a column."""
+    line = bisect_right(newlines, offset)
+    return line, offset - newlines[line - 1]
 
 
-def _lex(source: str) -> tuple[list[_Token], list[Diagnostic]]:
-    """Tokens ending in "eof", and a diagnostic per unexpected character.
-
-    Columns count code points from 1; a carriage return takes a column.
-    """
-    tokens: list[_Token] = []
+def _scan(source: str) -> tuple[list[str], list[str], list[int], list[int], list[Diagnostic]]:
+    """The kinds ("ident", "number", "symbol"), texts and start offsets of
+    the tokens, ending in an "eof" token; the offsets of the newlines, after
+    a -1 for the one before line 1; and a diagnostic per unexpected
+    character and per over-long numeric literal."""
+    newlines = [-1, *[match.start() for match in re.finditer("\n", source)]]
+    kinds: list[str] = []
+    texts: list[str] = []
+    starts: list[int] = []
     diagnostics: list[Diagnostic] = []
-    line, line_start, pos = 1, 0, 0
-    while pos < len(source):
-        match = _TOKEN.match(source, pos)
-        kind, text = match.lastgroup, match.group()
-        column = pos - line_start + 1
-        if kind == "ident" and not (text[0].isalpha() or text[0] == "_"):
-            kind, text = "bad", text[0]  # \w also admits numerals such as '²'
-        pos += len(text)
-        if kind == "space":
-            if "\n" in text:
-                line += text.count("\n")
-                line_start = source.rindex("\n", 0, pos) + 1
-        elif kind == "bad":
-            diagnostics.append(
-                Diagnostic(f"unexpected character {text!r}", line, column)
-            )
-        elif kind == "number" and len(text) - text.count(".") > MAX_LITERAL_DIGITS:
-            message = f"numeric literal longer than {MAX_LITERAL_DIGITS} digits"
-            diagnostics.append(Diagnostic(message, line, column, limit=True))
-            # a stand-in value lets the parser go on to later diagnostics
-            tokens.append(_Token(kind, text, constructible(1), line, column))
-        elif kind == "number":
-            whole, _, part = text.partition(".")  # int() reads any \d digit
-            value = from_rational(int(whole + part), 10 ** len(part))
-            tokens.append(_Token(kind, text, value, line, column))
+    pos = 0
+    while True:
+        for match in _TOKEN.finditer(source, pos):
+            kind = match.lastgroup
+            if kind == "space":
+                continue
+            text = match.group()
+            start = match.start()
+            if kind == "word" and text[0].isalpha():
+                kind = "ident"
+            elif kind == "word" or kind == "bad":
+                message = f"unexpected character {text[0]!r}"
+                diagnostics.append(Diagnostic(message, *_position(newlines, start)))
+                if kind == "word":  # a numeral such as '²': scan on after it
+                    pos = start + 1
+                    break
+                continue
+            elif kind == "number" and len(text) - ("." in text) > MAX_LITERAL_DIGITS:
+                message = f"numeric literal longer than {MAX_LITERAL_DIGITS} digits"
+                diagnostics.append(Diagnostic(message, *_position(newlines, start), limit=True))
+            kinds.append(kind)
+            texts.append(text)
+            starts.append(start)
         else:
-            tokens.append(_Token(kind, text, None, line, column))
-    tokens.append(_Token("eof", "", None, line, pos - line_start + 1))
-    return tokens, diagnostics
+            break
+    kinds.append("eof")
+    texts.append("")
+    starts.append(len(source))
+    return kinds, texts, starts, newlines, diagnostics
+
+
+def _number(text: str) -> ConstructibleReal:
+    """The exact value of a number token; 1 stands in for an over-long
+    literal, which the scanner reported, so parsing goes on to later
+    diagnostics."""
+    whole, _, part = text.partition(".")  # int() reads any \d digit
+    if len(whole) + len(part) > MAX_LITERAL_DIGITS:
+        return constructible(1)
+    return from_rational(int(whole + part), 10 ** len(part))
 
 
 # -- parser ---------------------------------------------------------------------
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token], diagnostics: list[Diagnostic]):
-        self.tokens = tokens
-        self.index = 0
-        self.diagnostics = diagnostics
-        self.defined: set[str] = set()
+class _SyntaxAbort(Exception):
+    """Abandons a statement; parsing resumes at the token its one argument indexes."""
 
-    def error(self, message: str, token: _Token) -> None:
-        self.diagnostics.append(Diagnostic(message, token.line, token.column))
 
-    def fail(self, message: str, token: _Token) -> NoReturn:
-        """Record a diagnostic and abandon the statement."""
-        self.error(message, token)
-        raise _SyntaxAbort
+def _parse(source: str) -> tuple[Script, list[Diagnostic]]:
+    """The statements of a script that parse, and every diagnostic.
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.index]
+    Symbols are told apart by their text alone, which no identifier or
+    number token can have.  Positions are found only for tree nodes and
+    diagnostics.
+    """
+    kinds, texts, starts, newlines, diagnostics = _scan(source)
+    defined: set[str] = set()
 
-    def advance(self) -> _Token:
-        token = self.current
-        if token.kind != "eof":
-            self.index += 1
-        return token
+    def error(message: str, index: int) -> None:
+        diagnostics.append(Diagnostic(message, *_position(newlines, starts[index])))
 
-    def match_symbol(self, text: str) -> Optional[_Token]:
-        if self.current.kind == "symbol" and self.current.text == text:
-            return self.advance()
-        return None
+    def fail(message: str, index: int, resume: Optional[int] = None) -> NoReturn:
+        error(message, index)
+        raise _SyntaxAbort(index if resume is None else resume)
 
-    def expect_symbol(self, text: str) -> None:
-        if self.match_symbol(text) is None:
-            self.fail(f"expected {text!r}", self.current)
+    def reference(index: int) -> Name:
+        text = texts[index]
+        if text not in defined:
+            error(f"unresolved reference {text!r}", index)
+        return Name(text, *_position(newlines, starts[index]))
 
-    def recover_to_semicolon(self) -> None:
-        while self.current.kind != "eof" and self.match_symbol(";") is None:
-            self.advance()
+    def call(index: int, args: list[Expr]) -> Call:
+        """Check a call whose ``)`` was just read against the vocabulary."""
+        name = texts[index]
+        problem = _call_problem(name, len(args))
+        if problem is not None:
+            error(problem, index)
+        return Call(name, args, *_position(newlines, starts[index]))
 
-    def parse_program(self) -> Script:
-        statements: list[Stmt] = []
-        while self.current.kind != "eof":
-            stmt = self.parse_statement()
-            if stmt is not None:
-                statements.append(stmt)
-        return Script(statements)
+    def literal(i: int) -> tuple[Literal, int]:
+        value = _number(texts[i])
+        j = i + 1
+        if texts[j] == "/":
+            j += 1
+            if kinds[j] != "number":
+                fail("expected a denominator", j)
+            denom = _number(texts[j])
+            j += 1
+            if value.den != 1 or denom.den != 1:
+                at = i if value.den != 1 else j - 1
+                fail("rational literals take integer parts, like 17/12", at, j)
+            if denom.is_zero():
+                fail("zero denominator in literal", j - 1, j)
+            value = value / denom
+        return Literal(value, *_position(newlines, starts[i])), j
 
-    def parse_statement(self) -> Optional[Stmt]:
-        token = self.current
-        if token.kind != "ident" or token.text not in _KEYWORDS:
-            self.error(
-                "expected a statement ('let', 'assert' or 'emit')", token
-            )
-            self.recover_to_semicolon()
-            return None
-        self.advance()
-        try:
-            if token.text == "let":
-                return self.parse_let(token)
-            if token.text == "assert":
-                return self.parse_assert(token)
-            return self.parse_emit(token)
-        except _SyntaxAbort:
-            self.recover_to_semicolon()
-            return None
+    def expression(i: int) -> tuple[Expr, int]:
+        # the token indices of pending '-' (args None) and of calls with
+        # arguments still open, innermost last; an explicit stack, so deep
+        # nesting never meets the recursion limit
+        pending: list[tuple[int, Optional[list[Expr]]]] = []
 
-    def parse_let(self, keyword: _Token) -> Let:
-        name = self.current
-        if name.kind != "ident":
-            self.fail("expected an identifier after 'let'", name)
-        if name.text in _KEYWORDS:
-            self.fail(f"{name.text!r} is a keyword", name)
-        self.advance()
-        if name.text in self.defined:
-            self.error(f"redefinition of {name.text!r}", name)
-        try:
-            self.expect_symbol("=")
-            expr = self.parse_expr()
-            self.expect_symbol(";")
-        finally:
-            # record the binding even if the initializer had errors, so later
-            # references do not cascade into spurious unresolved diagnostics
-            self.defined.add(name.text)
-        return Let(name.text, expr, keyword.line, keyword.column)
-
-    def parse_assert(self, keyword: _Token) -> Assert:
-        left = self.parse_expr()
-        op_token = self.current
-        if op_token.kind == "symbol" and op_token.text in ("==", "<", ">"):
-            self.advance()
-        else:
-            self.fail("expected '==', '<' or '>' in assertion", op_token)
-        right = self.parse_expr()
-        self.expect_symbol(";")
-        return Assert(left, op_token.text, right, keyword.line, keyword.column)
-
-    def parse_emit(self, keyword: _Token) -> Emit:
-        names: list[Name] = []
-        while True:
-            token = self.current
-            if token.kind != "ident":
-                self.fail("expected an identifier in 'emit'", token)
-            self.advance()
-            name = Name(token.text, token.line, token.column)
-            if token.text not in self.defined:
-                self.error(f"unresolved reference {token.text!r}", token)
-            names.append(name)
-            if self.match_symbol(","):
-                continue
-            break
-        self.expect_symbol(";")
-        return Emit(names, keyword.line, keyword.column)
-
-    def parse_expr(self) -> Expr:
-        # pending '-' tokens (args None) and calls with arguments still
-        # open, innermost last; an explicit stack, so deep nesting never
-        # meets the recursion limit
-        pending: list[tuple[_Token, Optional[list[Expr]]]] = []
-
-        def open_level(token: _Token, args: Optional[list[Expr]]) -> None:
+        def open_level(index: int, args: Optional[list[Expr]], resume: int) -> None:
             if len(pending) == MAX_NESTING:
-                self.diagnostics.append(_NestingError(token).diagnostic)
-                raise _SyntaxAbort
-            pending.append((token, args))
+                line, column = _position(newlines, starts[index])
+                diagnostics.append(_NestingError(line, column).diagnostic)
+                raise _SyntaxAbort(resume)
+            pending.append((index, args))
 
         while True:
-            token = self.current
-            if token.kind == "symbol" and token.text == "-":
-                self.advance()
-                open_level(token, None)
+            kind, text = kinds[i], texts[i]
+            if text == "-":
+                open_level(i, None, i + 1)
+                i += 1
                 continue
-            if token.kind == "number":
-                expr: Expr = self.parse_literal()
-            elif token.kind == "ident":
-                self.advance()
-                if self.match_symbol("("):
-                    if not self.match_symbol(")"):
-                        open_level(token, [])
-                        continue  # parse the first argument
-                    expr = self.close_call(token, [])
-                else:
-                    expr = Name(token.text, token.line, token.column)
-                    if token.text not in self.defined:
-                        self.error(f"unresolved reference {token.text!r}", token)
+            if kind == "number":
+                expr, i = literal(i)
+            elif kind == "ident" and texts[i + 1] == "(":
+                if texts[i + 2] != ")":
+                    open_level(i, [], i + 2)
+                    i += 2
+                    continue  # parse the first argument
+                expr = call(i, [])
+                i += 3
+            elif kind == "ident":
+                expr = reference(i)
+                i += 1
             else:
-                self.fail("expected an expression", token)
+                fail("expected an expression", i)
             # hand the finished operand to the pending operators
             while pending:
                 opener, args = pending[-1]
                 if args is None:
                     pending.pop()
+                    at = _position(newlines, starts[opener])
                     if isinstance(expr, Literal):
-                        expr = Literal(-expr.value, opener.line, opener.column)
+                        expr = Literal(-expr.value, *at)
                     else:
-                        expr = Call("neg", [expr], opener.line, opener.column)
+                        expr = Call("neg", [expr], *at)
                     continue
                 args.append(expr)
-                if self.match_symbol(","):
+                if texts[i] == ",":
+                    i += 1
                     break  # parse the next argument
-                self.expect_symbol(")")
+                if texts[i] != ")":
+                    fail("expected ')'", i)
+                i += 1
                 pending.pop()
-                expr = self.close_call(opener, args)
+                expr = call(opener, args)
             else:
-                return expr
+                return expr, i
 
-    def parse_literal(self) -> Literal:
-        token = self.advance()
-        assert token.value is not None
-        value = token.value
-        if self.match_symbol("/"):
-            denom_token = self.current
-            if denom_token.kind != "number":
-                self.fail("expected a denominator", denom_token)
-            self.advance()
-            assert denom_token.value is not None
-            denom = denom_token.value
-            if value.den != 1 or denom.den != 1:
-                self.fail(
-                    "rational literals take integer parts, like 17/12",
-                    token if value.den != 1 else denom_token,
-                )
-            if denom.is_zero():
-                self.fail("zero denominator in literal", denom_token)
-            value = value / denom
-        return Literal(value, token.line, token.column)
-
-    def close_call(self, name_token: _Token, args: list[Expr]) -> Call:
-        """Check a call whose ``)`` was just read against the vocabulary."""
-        problem = _call_problem(name_token.text, len(args))
-        if problem is not None:
-            self.error(problem, name_token)
-        return Call(name_token.text, args, name_token.line, name_token.column)
-
-
-class _SyntaxAbort(Exception):
-    pass
+    statements: list[Stmt] = []
+    i = 0
+    while kinds[i] != "eof":
+        keyword = texts[i]
+        at = _position(newlines, starts[i])
+        try:
+            if kinds[i] != "ident" or keyword not in _KEYWORDS:
+                fail("expected a statement ('let', 'assert' or 'emit')", i)
+            i += 1
+            stmt: Stmt
+            if keyword == "let":
+                name = texts[i]
+                if kinds[i] != "ident":
+                    fail("expected an identifier after 'let'", i)
+                if name in _KEYWORDS:
+                    fail(f"{name!r} is a keyword", i)
+                if name in defined:
+                    error(f"redefinition of {name!r}", i)
+                try:
+                    if texts[i + 1] != "=":
+                        fail("expected '='", i + 1)
+                    expr, i = expression(i + 2)
+                finally:
+                    # bind the name even if the initializer has errors, so later
+                    # references do not cascade into spurious unresolved diagnostics
+                    defined.add(name)
+                stmt = Let(name, expr, *at)
+            elif keyword == "assert":
+                left, i = expression(i)
+                op = texts[i]
+                if op not in ("==", "<", ">"):
+                    fail("expected '==', '<' or '>' in assertion", i)
+                right, i = expression(i + 1)
+                stmt = Assert(left, op, right, *at)
+            else:
+                names: list[Name] = []
+                while True:
+                    if kinds[i] != "ident":
+                        fail("expected an identifier in 'emit'", i)
+                    names.append(reference(i))
+                    i += 1
+                    if texts[i] != ",":
+                        break
+                    i += 1
+                stmt = Emit(names, *at)
+            if texts[i] != ";":
+                fail("expected ';'", i)
+            statements.append(stmt)
+            i += 1
+        except _SyntaxAbort as abort:
+            # resume after the next ';'
+            (i,) = abort.args
+            while kinds[i] != "eof":
+                i += 1
+                if texts[i - 1] == ";":
+                    break
+    return Script(statements), diagnostics
 
 
 def parse(source: str) -> ParseResult:
     """Parse and statically check a script, collecting all diagnostics."""
-    tokens, diagnostics = _lex(source)
-    parser = _Parser(tokens, diagnostics)
-    script = parser.parse_program()
+    script, diagnostics = _parse(source)
     return ParseResult(None if diagnostics else script, diagnostics)
 
 

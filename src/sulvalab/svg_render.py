@@ -2,7 +2,7 @@
 
 Every coordinate goes through the same fixed pipeline, in integers only.
 Each exact value becomes the dyadic midpoint of its 64-bit grid cell (see
-``exactreal.enclose``); all of a document's midpoints go onto one common
+``exactreal.cell_midpoint``); all of a document's midpoints go onto one common
 power-of-two grid, so that each is an integer ``w``; and each printed
 number is the quotient ``size*(5*S + 4*(2*(w - wmin) - S_axis)) / (10*S)``
 (mirrored for y, which grows downward), rounded once to three fractional
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .catalog import RuleOutput
-from .exactreal import ConstructibleReal, DomainError, Dyadic, enclose, to_decimal
+from .exactreal import ConstructibleReal, DomainError, Dyadic, cell_midpoint, to_decimal
 from .geom import Circle, Figure, Segment, Square, shape
 
 __all__ = ["RenderOptions", "render_rule_output", "to_svg"]
@@ -48,14 +48,6 @@ class RenderOptions:
             raise DomainError("label_digits must be positive")
 
 
-def _approx(value: ConstructibleReal) -> Dyadic:
-    """The midpoint of the value's 64-bit grid cell."""
-    cell = enclose(value, 64)
-    (lo_man, lo_exp), (hi_man, hi_exp) = cell.lo, cell.hi
-    exp = min(lo_exp, hi_exp)
-    return Dyadic.of((lo_man << (lo_exp - exp)) + (hi_man << (hi_exp - exp)), exp - 1)
-
-
 def _fmt(n: int, d: int) -> str:
     """``n/d`` to three fractional digits, halves up, for ``n >= 0`` and
     ``d > 0``: no printed number is below ``size/10 - 5`` px."""
@@ -77,7 +69,7 @@ def to_svg(
     for anchors, extent in shapes:
         for value in (extent, *(c for p in anchors for c in (p.x, p.y))):
             if value is not None and id(value) not in cells:
-                cells[id(value)] = (value, _approx(value))
+                cells[id(value)] = (value, cell_midpoint(value, 64))
     grid = min(cell.exp for _, cell in cells.values())
 
     def w(value: ConstructibleReal) -> int:

@@ -140,6 +140,23 @@ def test_zero_and_dyadic_rationals_are_degenerate(p):
     assert (cell.lo.as_fraction(), cell.hi.as_fraction()) == (1, 1 + Fraction(2, 2**p))
 
 
+@pytest.mark.parametrize("p", [4, 17, 64, 320])
+def test_cell_midpoint_is_the_midpoint_of_the_cell(p):
+    values = [
+        0, 1, -2, Fraction(3, 8), 2**70 + 2**68, 1 + Fraction(1, 2**p),  # grid points, or near one
+        Fraction(1, 3), Fraction(-22, 7), Fraction(10**30 + 1, 7),  # rationals
+        sqrt(2), -sqrt(3) / 5, Fraction(-1, 3) + sqrt(10**6 + 3),  # height 1
+        sqrt(2 + sqrt(3)), 1 - sqrt(5 + sqrt(2)) * sqrt(7),  # height 2
+    ]
+    for x in values:
+        mid = er.cell_midpoint(x, p)
+        assert type(mid) is er.Dyadic and mid == er.Dyadic.of(*mid)
+        assert mid.as_fraction() == enclose(x, p).midpoint()
+    for bad in (3, 64.0):
+        with pytest.raises(DomainError):
+            er.cell_midpoint(1, bad)
+
+
 @pytest.mark.parametrize("p", [8, 64, 320])
 @pytest.mark.parametrize("g", [1, 2, -2, Fraction(3, 4), 4])
 def test_values_just_beside_a_grid_point(p, g):

@@ -15,6 +15,7 @@ the schoolbook 5-product recursion, and the results must be structurally
 equal (canonical form makes that the same as equal values on one chain).
 """
 
+import random
 from fractions import Fraction
 from math import isqrt
 
@@ -430,3 +431,41 @@ def test_a_stored_root_follows_a_tighter_radicand():
             one._interval_raw(bits), one._interval_raw(bits), er._ROOTS[tower][1], bits
         )
         assert_holds_oracle(fresh, lambda: mp_value(node), bits)
+
+
+# -- square parts -----------------------------------------------------------------
+
+
+def _square_part_by_odd_numbers(value: int) -> tuple[int, int]:
+    """``exactreal._square_part`` when it divided by 2 and every odd number
+    up to 1000, kept verbatim as the reference."""
+    s = 1
+    v = value
+    p = 2
+    while p * p <= v and p <= 1000:
+        if v % p == 0:
+            exponent = 0
+            while v % p == 0:
+                v //= p
+                exponent += 1
+            s *= p ** (exponent // 2)
+            if exponent % 2:
+                v *= p  # leave one factor in the kernel
+                # (re-multiplied once; v was fully divided out above)
+        p = 3 if p == 2 else p + 2
+    root = isqrt(v)
+    if root * root == v:
+        return s * root, 1
+    return s, v
+
+
+def test_square_part_by_primes_matches_odd_numbers():
+    rng = random.Random(1052)
+    values = [0, 1, 1009**2 * 2]
+    values += [rng.randint(1, 10**14) for _ in range(2000)]
+    values += [rng.randint(1, 10**6) ** 2 * rng.randint(1, 10**3) for _ in range(1000)]
+    # twice the square of every n below 1000, so each prime below 1000 has a
+    # square to divide out; then squares of primes around the bound
+    values += [n * n * 2 for n in range(2, 1000)]
+    values += [p * p * k for p in (983, 991, 997, 1009, 1013) for k in (1, 2, 3, 997)]
+    assert [er._square_part(v) for v in values] == [_square_part_by_odd_numbers(v) for v in values]

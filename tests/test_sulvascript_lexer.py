@@ -1,10 +1,12 @@
-"""Differential tests of the regex lexer against the scanner it replaced.
+"""Differential tests of the regex scanner against the scanner it replaced.
 
 ``_Lexer`` below is the character-at-a-time scanner that ``sulvascript``
 used before its single master regex, kept verbatim as the reference.  Where
-it returns, both give the same tokens and diagnostics.  It raises
+it returns, both give the same tokens and diagnostics, with the scanner's
+kinds, texts and positions, and the value the parser reads from each
+number, put into the reference's token records.  It raises
 ``ValueError`` on a number run holding a non-decimal digit such as ``'²'``;
-there the new lexer reports an unexpected character instead.
+there the new scanner reports an unexpected character instead.
 """
 
 from fractions import Fraction
@@ -14,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sulvalab.sulvascript import Diagnostic, _lex, _Token, parse
+from sulvalab.sulvascript import Diagnostic, parse
+from sulvascript_reference import _Token, scanned
 
 CORPUS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.sulva"))
 
@@ -120,11 +123,11 @@ def test_lexer_matches_the_reference(source):
             d.message.startswith("unexpected character") for d in result.diagnostics
         )
         return
-    assert _lex(source) == (expected, reference.diagnostics)
+    assert scanned(source) == (expected, reference.diagnostics)
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)
 def test_corpus_lexes_as_the_reference_does(path):
     source = path.read_text(encoding="utf-8")
     reference = _Lexer(source)
-    assert _lex(source) == (reference.tokens(), reference.diagnostics)
+    assert scanned(source) == (reference.tokens(), reference.diagnostics)

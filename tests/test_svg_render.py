@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from sulvalab.catalog import lookup
-from sulvalab.exactreal import DomainError, enclose, from_rational, sqrt
+from sulvalab.exactreal import DomainError, cell_midpoint, enclose, from_rational, sqrt
 from sulvalab.geom import Circle, point
-from sulvalab.svg_render import RenderOptions, _approx, render_rule_output, to_svg
+from sulvalab.svg_render import RenderOptions, render_rule_output, to_svg
 
 from oracle_util import fraction_calls
 
@@ -54,9 +54,9 @@ def test_byte_identical_across_runs():
 
 def test_coordinates_do_not_depend_on_earlier_enclosures():
     value = sqrt(2) + sqrt(3) / 7
-    before = _approx(value)
+    before = cell_midpoint(value, 64)
     enclose(value, 1024)  # leaves a tighter memo than the 64 bits used here
-    assert _approx(value) == before
+    assert cell_midpoint(value, 64) == before
     assert before.as_fraction() == enclose(value, 64).midpoint()
 
 
