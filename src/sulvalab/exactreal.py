@@ -34,7 +34,9 @@ All values are immutable in what they denote, and arithmetic, signs,
 comparisons, enclosures and decimals depend on their arguments alone: the
 kernel has no settings, and towers are at most ``MAX_TOWER_HEIGHT`` levels
 tall.  Besides pure caches, the registry of towers is the only process
-state: a tower opened by one call is reused by all later ones.  The memos,
+state: a tower opened by one call is reused by all later ones, and a
+radicand that already has a level gets that level back with no square
+test.  The memos,
 pi's among them, are pure caches: they change speed, never bytes.  Each
 value memoizes its latest working ball, and arithmetic shares subtrees
 (and so their memos) between values: a product with 1, a sum with 0 and a
@@ -584,11 +586,18 @@ def _tower_root(tower: Tower, d: _Ball, bits: int) -> _Ball:
     return root
 
 
-def _extend(parent: Optional[Tower], radicand: "ConstructibleReal") -> Tower:
-    """Intern-or-create the extension of ``parent`` by sqrt(radicand)."""
-    height = 1 if parent is None else parent.height + 1
+def _check_height(height: int) -> None:
+    """A CapacityError for a level above ``MAX_TOWER_HEIGHT``."""
     if height > MAX_TOWER_HEIGHT:
         raise CapacityError(f"tower height cap {MAX_TOWER_HEIGHT} exceeded")
+
+
+def _extend(parent: Optional[Tower], radicand: "ConstructibleReal") -> Tower:
+    """The extension of ``parent`` by sqrt(radicand): interned for a root
+    tower, else created.  A radicand that already has a level over
+    ``parent`` never gets here: :func:`_root` hands that level back first,
+    with no square test."""
+    _check_height(1 if parent is None else parent.height + 1)
     if parent is None:
         # root radicands are rationals: one lookup instead of a scan
         key = radicand.num, radicand.den
@@ -596,9 +605,6 @@ def _extend(parent: Optional[Tower], radicand: "ConstructibleReal") -> Tower:
         if entry is None:
             entry = _ROOT_INDEX[key] = radicand, Tower(None, radicand)
         return entry[1]
-    for known, tower in parent._children:
-        if _sub(known, radicand).is_zero():
-            return tower
     tower = Tower(parent, radicand)
     parent._children.append((radicand, tower))
     return tower
@@ -1142,8 +1148,18 @@ def _sqrt_within(
 
 
 def _root(tower: Tower, x: ConstructibleReal) -> ConstructibleReal:
-    """The positive square root of a positive ``x`` over ``tower``: found in
-    its field, or adjoined as a new level on top of it."""
+    """The positive square root of a positive ``x`` over ``tower``: the
+    generator of a child level that already adjoins it, found in the field,
+    or adjoined as a new level on top of it.
+
+    A child level exists only for a radicand proven not to be a square, so
+    a radicand that has one gets it back with no square test.  Both ``x``
+    and every child's radicand live on ``tower``'s chain, where canonical
+    form makes equal values structurally equal."""
+    for known, child in tower._children:
+        if structurally_equal(known, x):
+            _check_height(child.height)
+            return _node(child, _ZERO, _ONE)
     found = _sqrt_within(tower, x)
     if found is None:
         return _node(_extend(tower, x), _ZERO, _ONE)

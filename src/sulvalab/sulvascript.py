@@ -272,6 +272,10 @@ _TOKEN = re.compile(
     r"|(?P<word>[^\W\d]\w*)"
     r"|(?P<bad>.)"
 )
+# the pieces of a \w run that starts with a numeral: a run of decimal digits,
+# or one other character
+_PIECE = re.compile(r"\d+|\w")
+_LONG_LITERAL = f"numeric literal longer than {MAX_LITERAL_DIGITS} digits"
 
 
 def _position(newlines: list[int], offset: int) -> tuple[int, int]:
@@ -301,16 +305,35 @@ def _scan(source: str) -> tuple[list[str], list[str], list[int], list[int], list
             start = match.start()
             if kind == "word" and text[0].isalpha():
                 kind = "ident"
-            elif kind == "word" or kind == "bad":
-                message = f"unexpected character {text[0]!r}"
+            elif kind == "word":
+                # a numeral such as '²' starts the run: report its numerals
+                # and take its inner numbers piece by piece, up to a token
+                # that reaches the run's end (an identifier, or digits that
+                # may go on as "1.5"), and scan on from there, so that a run
+                # is read a bounded number of times however many numerals
+                # it holds
+                pos = start + len(text)
+                for piece in _PIECE.finditer(text):
+                    part, at = piece.group(), start + piece.start()
+                    if part.isalpha() or part == "_" or (part.isdecimal() and piece.end() == len(text)):
+                        pos = at
+                        break
+                    if not part.isdecimal():
+                        message = f"unexpected character {part!r}"
+                        diagnostics.append(Diagnostic(message, *_position(newlines, at)))
+                        continue
+                    if len(part) > MAX_LITERAL_DIGITS:
+                        diagnostics.append(Diagnostic(_LONG_LITERAL, *_position(newlines, at), limit=True))
+                    kinds.append("number")
+                    texts.append(part)
+                    starts.append(at)
+                break
+            elif kind == "bad":
+                message = f"unexpected character {text!r}"
                 diagnostics.append(Diagnostic(message, *_position(newlines, start)))
-                if kind == "word":  # a numeral such as '²': scan on after it
-                    pos = start + 1
-                    break
                 continue
             elif kind == "number" and len(text) - ("." in text) > MAX_LITERAL_DIGITS:
-                message = f"numeric literal longer than {MAX_LITERAL_DIGITS} digits"
-                diagnostics.append(Diagnostic(message, *_position(newlines, start), limit=True))
+                diagnostics.append(Diagnostic(_LONG_LITERAL, *_position(newlines, start), limit=True))
             kinds.append(kind)
             texts.append(text)
             starts.append(start)

@@ -397,6 +397,40 @@ def test_same_tower_difference_builds_no_negation(monkeypatch):
     assert _calls(monkeypatch, "_neg", lambda: y * (NESTED - 1) - x)[1] == 0
 
 
+# -- known levels -------------------------------------------------------------------
+
+
+def test_a_known_radicand_gets_its_level_back_with_no_square_test(monkeypatch):
+    # 11 + 2*sqrt(13) is no square in Q(sqrt(13)); the second radicand is
+    # rebuilt from scratch, so only its structure can find the level
+    first_radicand, second_radicand = (from_rational(11) + 2 * sqrt(13) for _ in range(2))
+    assert first_radicand is not second_radicand
+    assert structurally_equal(first_radicand, second_radicand)
+    first = sqrt(first_radicand)
+    second, calls = _calls(monkeypatch, "_sqrt_within", lambda: sqrt(second_radicand))
+    assert calls == 0 and second.tower is first.tower
+    assert structurally_equal(second, first) and second * second == first_radicand
+
+
+def test_a_repeated_cross_tower_product_reuses_the_child_level(monkeypatch):
+    # the first product adjoins sqrt(1013) on top of sqrt(1009); the second
+    # finds that level among the children and proves nothing again
+    x, root = 2 + sqrt(1009), sqrt(1013)
+    first = x * root
+    second, calls = _calls(monkeypatch, "_sqrt_within", lambda: x * root)
+    assert calls == 0 and second.tower is first.tower and second == first
+    assert len(x.tower._children) == 1 and x.tower._children[0][1] is first.tower
+
+
+def test_tower_cap_holds_for_a_known_level(monkeypatch):
+    # the level exists before the cap drops, and reusing it still raises
+    level = sqrt(3 + sqrt(1019)).tower
+    assert level.height == 2
+    monkeypatch.setattr(er, "MAX_TOWER_HEIGHT", 1)
+    with pytest.raises(CapacityError):
+        sqrt(3 + sqrt(1019))
+
+
 # -- enclose ------------------------------------------------------------------
 
 

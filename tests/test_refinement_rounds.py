@@ -127,7 +127,7 @@ ADJUDICATE = {
     ("jaina_sqrt10", 1024): (20, 1, 9, 2),
     ("baudhayana", 128): (25, 3, 37, 7),
     ("baudhayana", 1024): (14, 1, 8, 1),
-    ("manava_dani", 128): (29, 4, 101, 17),
+    ("manava_dani", 128): (29, 4, 99, 16),
     ("manava_dani", 1024): (14, 1, 8, 1),
     ("manava_vangelder", 128): (25, 3, 81, 10),
     ("manava_vangelder", 1024): (14, 1, 8, 1),

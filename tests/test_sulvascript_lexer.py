@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sulvalab import sulvascript
 from sulvalab.sulvascript import Diagnostic, parse
 from sulvascript_reference import _Token, scanned
 
@@ -131,3 +132,28 @@ def test_corpus_lexes_as_the_reference_does(path):
     source = path.read_text(encoding="utf-8")
     reference = _Lexer(source)
     assert scanned(source) == (reference.tokens(), reference.diagnostics)
+
+
+class _Counting:
+    """A compiled pattern whose ``finditer`` counts the characters its matches cover."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.matched = 0
+
+    def finditer(self, source, pos=0):
+        for match in self.pattern.finditer(source, pos):
+            self.matched += match.end() - match.start()
+            yield match
+
+
+@pytest.mark.parametrize("run", ["²", "²1", "1²", "²a", "Ⅻ٣½"], ids=repr)
+def test_numeral_runs_scan_in_linear_time(monkeypatch, run):
+    # the scanner's patterns cover each character a bounded number of times,
+    # however many numerals a \w run holds
+    patterns = {name: _Counting(getattr(sulvascript, name)) for name in ("_TOKEN", "_PIECE")}
+    for name, pattern in patterns.items():
+        monkeypatch.setattr(sulvascript, name, pattern)
+    source = "let x = " + run * (4000 // len(run)) + ".5;"
+    assert not parse(source).ok
+    assert sum(pattern.matched for pattern in patterns.values()) <= 3 * len(source)

@@ -29,7 +29,12 @@ TOKENS = [
     "²", "x²", "1²", "*", ".", "1.²",
     " ", " ", "\n", "\r", "\r\n", "\t", "# a note\n", "#",
 ]
-token_scripts = st.lists(st.sampled_from(TOKENS), max_size=40).map("".join)
+# runs of numerals mixed with letters, digits and '_', which the scanner
+# reads piece by piece, and a '.' that may carry a number past the run
+numeral_runs = st.lists(st.sampled_from(["²", "½", "Ⅻ", "1", "٣", "07", "a", "é", "_", "."]), max_size=12).map(
+    "".join
+)
+token_scripts = st.lists(st.sampled_from(TOKENS) | numeral_runs, max_size=40).map("".join)
 
 # mostly well-formed statements, so that whole trees get compared
 names = st.sampled_from(["x", "y", "z", "out"])
@@ -75,6 +80,8 @@ def assert_parses_as_the_reference(source: str) -> None:
 @example("let x = " + "7" * (MAX_LITERAL_DIGITS + 1) + "/0;\r\nlet y = -x; emit y, z;")
 @example("let x = 1." + "0" * MAX_LITERAL_DIGITS + "/2;\nlet x = x;")
 @example("let x = add(1, ²2.5); assert x=1; emit")
+@example("let x = ²²1²a²_1 ½Ⅻ07²٣.5 Ⅻ²2.²é²; emit x;")
+@example("let x = ²" + "1" * (MAX_LITERAL_DIGITS + 1) + "²a;")
 def test_parser_matches_the_reference(source):
     assert_parses_as_the_reference(source)
 
