@@ -307,11 +307,10 @@ def _scan(source: str) -> tuple[list[str], list[str], list[int], list[int], list
                 kind = "ident"
             elif kind == "word":
                 # a numeral such as '²' starts the run: report its numerals
-                # and take its inner numbers piece by piece, up to a token
-                # that reaches the run's end (an identifier, or digits that
-                # may go on as "1.5"), and scan on from there, so that a run
-                # is read a bounded number of times however many numerals
-                # it holds
+                # and take its inner numbers, up to a token that reaches the
+                # run's end (an identifier, or digits that may go on as
+                # "1.5"), and scan on from there, so that a run is read a
+                # bounded number of times however many numerals it holds
                 pos = start + len(text)
                 for piece in _PIECE.finditer(text):
                     part, at = piece.group(), start + piece.start()

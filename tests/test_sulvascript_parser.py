@@ -31,10 +31,8 @@ TOKENS = [
 ]
 # runs of numerals mixed with letters, digits and '_', which the scanner
 # reads piece by piece, and a '.' that may carry a number past the run
-numeral_runs = st.lists(st.sampled_from(["²", "½", "Ⅻ", "1", "٣", "07", "a", "é", "_", "."]), max_size=12).map(
-    "".join
-)
-token_scripts = st.lists(st.sampled_from(TOKENS) | numeral_runs, max_size=40).map("".join)
+numeral_runs = st.lists(st.sampled_from(["²", "½", "Ⅻ", "1", "٣", "07", "a", "é", "_", "."]), max_size=12)
+token_scripts = st.lists(st.sampled_from(TOKENS) | numeral_runs.map("".join), max_size=40).map("".join)
 
 # mostly well-formed statements, so that whole trees get compared
 names = st.sampled_from(["x", "y", "z", "out"])
