@@ -16,7 +16,9 @@ lengths and ratios).  So each entry holds only its construction at input
 length 1, and :meth:`Rule.run` scales and places that for any size and
 center.  The unit construction is built once, on the rule's first run, and
 shared by every later run; a placed output scales the values at once and
-maps the figures only on first access.
+maps the figures only on first access, each distinct unit coordinate once
+per axis, so equal coordinates of its figures and witness points are one
+object.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .geom import (
     circumscribed_circle,
     distance_squared,
     point,
-    similar,
+    similarity,
     square_area,
     trisector_lines,
     vertical_line_circle_intersection,
@@ -97,9 +99,11 @@ class RuleOutput:
     ``claimed`` and ``actual`` are set when the output is made.  An output
     that :meth:`Rule.run` placed away from the unit construction holds that
     unit output and the map ``p -> k*p + center`` instead of its figures;
-    it maps ``figures`` and ``witness_points`` through
-    :func:`~sulvalab.geom.similar` on first access, once, so callers that
-    read only the values never build them.
+    it maps ``figures`` and ``witness_points`` through one
+    :func:`~sulvalab.geom.similarity` on first access, once, so callers
+    that read only the values never build them.  The two share that map's
+    memo: each distinct unit coordinate is mapped once per axis, and equal
+    coordinates come out as one object.
     """
 
     figures: tuple[Figure, ...]
@@ -124,9 +128,9 @@ class RuleOutput:
         placement = vars(self).get("_placement")
         if placement is None or name not in ("figures", "witness_points"):
             raise AttributeError(f"'RuleOutput' object has no attribute {name!r}")
-        unit, k, center = placement
+        unit, place = placement
         anchors = getattr(unit, name)
-        placed = None if anchors is None else tuple(similar(a, k, center) for a in anchors)
+        placed = None if anchors is None else tuple(place(a) for a in anchors)
         vars(self)[name] = placed
         return placed
 
@@ -170,7 +174,7 @@ class Rule:
             factor = k ** KINDS[self.kind].degree
             claimed, actual = claimed.scale(factor), actual.scale(factor)
         placed = RuleOutput.__new__(RuleOutput)
-        vars(placed).update(claimed=claimed, actual=actual, _placement=(unit, k, center))
+        vars(placed).update(claimed=claimed, actual=actual, _placement=(unit, similarity(k, center)))
         return placed
 
 

@@ -17,8 +17,10 @@ Inside the kernel, a value's working enclosure is a ball of ints
 ``(m, r, e)``, the interval ``[(m - r) * 2**e, (m + r) * 2**e]`` (Arb's
 midpoint-radius form): a node ``a + b*sqrt(d)`` costs one product of
 midpoints, and every rounding widens the radius, so the ball always holds
-the true value.  Signs, grid cells and decimals are decided exactly on the
-ends of these balls.  An :class:`Interval` is the public certified
+the true value.  Signs, grid cells and decimals of irrational values are
+decided exactly on the ends of these balls; those of a rational ``n/d`` are
+decided in integers, a grid cell by one integer division (the same cell,
+with no refinement).  An :class:`Interval` is the public certified
 enclosure, with arbitrary-precision dyadic endpoints: :func:`enclose`
 reports the cell of a fixed dyadic grid that holds the value, so its
 endpoints are a function of the value and the precision.
@@ -366,6 +368,33 @@ def _grid_index(v: _Pair, precision_bits: int, up: bool) -> tuple[int, int]:
     return (-((-man) >> shift) if up else man >> shift), step
 
 
+def _grid_precision(precision_bits: object) -> int:
+    """``precision_bits`` when it is an int of at least 4; a DomainError otherwise."""
+    p = _whole(precision_bits, "precision_bits")
+    if p < 4:
+        raise DomainError("precision_bits must be at least 4")
+    return p
+
+
+def _rational_cell(n: int, d: int, precision_bits: int) -> tuple[_Pair, _Pair]:
+    """The ends of the grid cell of precision ``precision_bits`` that holds
+    ``n/d`` (``d > 0``), as ``(man, exp)`` int pairs, found by one integer
+    division: the same cell :func:`_grid_cell` refines to, with no enclosure.
+
+    ``E = floor(log2|n/d|)`` is ``bit_length(|n|) - bit_length(d)`` or one
+    less, which one comparison settles; the cell is ``[k, k]`` at the step
+    ``2**(max(0, E) + 1 - p)`` when the remainder of ``n`` over that step is
+    zero, else ``[k, k + 1]``.
+    """
+    p = _grid_precision(precision_bits)
+    a = abs(n)
+    e = a.bit_length() - d.bit_length()
+    # below 2 the grid is that of 1, so E only matters from e > 0 on
+    step = (e - (a < d << e) if e > 0 else 0) + 1 - p
+    k, rest = divmod(n << -step, d) if step < 0 else divmod(n, d << step)
+    return (k, step), (k + (rest != 0), step)
+
+
 def _grid_cell(
     encloser: Callable[[int], _Ball],
     precision_bits: int,
@@ -381,10 +410,11 @@ def _grid_cell(
     point; ``sign_at(g)``, the exact sign of the value minus ``g``, then
     settles on which side of that point the value lies.  Both steps end for
     every value: its enclosures shrink to it, and exact signs terminate.
+    :func:`enclose` and :func:`cell_midpoint` take a rational's cell from
+    :func:`_rational_cell` instead: the same cell, found exactly by one
+    integer division, with no refinement.
     """
-    p = _whole(precision_bits, "precision_bits")
-    if p < 4:
-        raise DomainError("precision_bits must be at least 4")
+    p = _grid_precision(precision_bits)
 
     def decide(lo: _Pair, hi: _Pair, bits: int) -> Optional[tuple[_Pair, _Pair]]:
         first = _grid_index(lo, p, True)
@@ -1195,18 +1225,22 @@ def structurally_equal(x: ConstructibleReal, y: ConstructibleReal) -> bool:
 
 def _value_cell(value: Coercible, precision_bits: int) -> tuple[_Pair, _Pair]:
     x = constructible(value)
+    if x.tower is None:
+        return _rational_cell(x.num, x.den, precision_bits)
     return _grid_cell(x._interval_raw, precision_bits, lambda g: _sub(x, _grid_point(g)).sign())
 
 
 def enclose(value: Coercible, precision_bits: int) -> Interval:
     """Certified interval containing the value, at relative width 2**(1-p):
-    the cell of a fixed dyadic grid that holds it (see :func:`_grid_cell`)."""
+    the cell of a fixed dyadic grid that holds it (see :func:`_grid_cell`).
+    A rational's cell is found exactly by one integer division."""
     return _cell_interval(*_value_cell(value, precision_bits), precision_bits)
 
 
 def cell_midpoint(value: Coercible, precision_bits: int) -> Dyadic:
     """The midpoint of ``enclose(value, precision_bits)``, found from the
-    ends of the value's grid cell without building the interval."""
+    ends of the value's grid cell without building the interval; a
+    rational's cell comes from one integer division, with no refinement."""
     m, _, e = _span(*_value_cell(value, precision_bits))
     return Dyadic.of(m, e)
 
@@ -1341,6 +1375,8 @@ class Quantity:
         return _riv_add_mul(base, coef, _riv_pi(bits), bits)
 
     def enclose(self, precision_bits: int) -> Interval:
+        if self.c1.is_zero():
+            return enclose(self.c0, precision_bits)
         ends = _grid_cell(
             self._interval_raw, precision_bits, lambda g: (self - _grid_point(g)).sign()
         )

@@ -10,7 +10,7 @@ explicitly by callers and tower growth stays visible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .exactreal import (
     Coercible,
@@ -35,6 +35,7 @@ __all__ = [
     "point",
     "shape",
     "similar",
+    "similarity",
     "square_area",
     "trisector_lines",
     "vertical_line_circle_intersection",
@@ -127,24 +128,50 @@ def shape(figure: Figure) -> tuple[tuple[Point, ...], Optional[ConstructibleReal
     return (figure.center,), figure.radius
 
 
+def similarity(k: ConstructibleReal, offset: Point) -> Callable[[Figure], Figure]:
+    """The map ``figure -> similar(figure, k, offset)``, for ``k > 0``, that
+    maps each distinct coordinate once per axis across all its calls.
+
+    Equal rationals (by ``num`` and ``den``) and the same irrational object
+    share one image, so equal coordinates come out as one object.  The
+    multiply is skipped when ``k`` is 1 and the add when ``offset`` is the
+    origin, so a length the map leaves alone stays the same value.
+    """
+    scale = not (k.is_rational() and k.num == k.den == 1)
+    shift = not (offset.x.is_zero() and offset.y.is_zero())
+    adds = (offset.x, offset.y, None) if shift else (None, None, None)
+    # (axis, num, den) or (axis, id) -> (value, image), axis 2 for half
+    # extents, which only scale; holding the value keeps its id from reuse
+    memo: dict[tuple[int, ...], tuple[ConstructibleReal, ConstructibleReal]] = {}
+
+    def image(value: ConstructibleReal, axis: int) -> ConstructibleReal:
+        key = (axis, value.num, value.den) if value.tower is None else (axis, id(value))
+        entry = memo.get(key)
+        if entry is None:
+            mapped = value * k if scale else value
+            add = adds[axis]
+            entry = memo[key] = value, (mapped if add is None else mapped + add)
+        return entry[1]
+
+    def place(figure: Figure) -> Figure:
+        anchors, extent = shape(figure)
+        images = [Point(image(p.x, 0), image(p.y, 1)) for p in anchors]
+        if isinstance(figure, Point):
+            return images[0]
+        if extent is None:
+            return Segment(*images)
+        return type(figure)(images[0], image(extent, 2))
+
+    return place
+
+
 def similar(figure: Figure, k: ConstructibleReal, offset: Point) -> Figure:
     """The image of ``figure`` under ``p -> k*p + offset``, for ``k > 0``.
 
     The multiply is skipped when ``k`` is 1 and the add when ``offset`` is
     the origin, so a length the map leaves alone stays the same value.
     """
-    scale = not (k.is_rational() and k.num == k.den == 1)
-    shift = not (offset.x.is_zero() and offset.y.is_zero())
-    anchors, extent = shape(figure)
-    images = []
-    for p in anchors:
-        x, y = (p.x * k, p.y * k) if scale else (p.x, p.y)
-        images.append(Point(x + offset.x, y + offset.y) if shift else Point(x, y))
-    if isinstance(figure, Point):
-        return images[0]
-    if extent is None:
-        return Segment(*images)
-    return type(figure)(images[0], extent * k if scale else extent)
+    return similarity(k, offset)(figure)
 
 
 def divide_segment(segment: Segment, parts: int) -> list[Point]:

@@ -64,7 +64,9 @@ def to_svg(
         raise DomainError("nothing to render: the figure list is empty")
     shapes = [shape(figure) for figure in figures]
     # one midpoint per value and document; holding the value keeps its id
-    # from being reused meanwhile
+    # from being reused meanwhile.  A placed rule output maps each distinct
+    # unit coordinate once and shares it, so equal coordinates of its
+    # figures and witness points take one cell here
     cells: dict[int, tuple[ConstructibleReal, Dyadic]] = {}
     for anchors, extent in shapes:
         for value in (extent, *(c for p in anchors for c in (p.x, p.y))):

@@ -15,7 +15,15 @@ from sulvalab.catalog import (
     rule_ids,
     sqrt2_sulba_constant,
 )
-from sulvalab.exactreal import DomainError, constructible, enclose, from_rational, sqrt
+from sulvalab import svg_render
+from sulvalab.exactreal import (
+    DomainError,
+    cell_midpoint,
+    constructible,
+    enclose,
+    from_rational,
+    sqrt,
+)
 from sulvalab.geom import Circle, Point, Segment, Square, distance_squared, point, shape, similar
 
 
@@ -403,6 +411,56 @@ def test_lazy_placement_equals_eager_placement(rule):
             # mapped once: a second access returns the same objects
             assert out.figures is out.figures
             assert out == rule.run(size, center)
+
+
+def _coordinates(figures) -> list[tuple[int, object]]:
+    """``(axis, value)`` of every coordinate of ``figures``: 0 and 1 for x
+    and y, 2 for a half extent."""
+    found = []
+    for figure in figures:
+        anchors, extent = shape(figure)
+        for p in anchors:
+            found += [(0, p.x), (1, p.y)]
+        if extent is not None:
+            found.append((2, extent))
+    return found
+
+
+@pytest.mark.parametrize("rule_id", ["manava_dani", "manava_vangelder"])
+def test_placement_maps_each_distinct_coordinate_once(rule_id, monkeypatch):
+    rule = lookup(rule_id)
+    unit = rule.unit()
+    size, center = Fraction(7, 3), point(Fraction(3, 2), -5)
+    out = rule.run(size, center)
+    unit_figures = unit.figures + (unit.witness_points or ())
+    placed_figures = out.figures + (out.witness_points or ())
+    # equal rationals, or one irrational object, come out as one object per axis
+    images: dict = {}
+    for (axis, u), (same_axis, v) in zip(
+        _coordinates(unit_figures), _coordinates(placed_figures), strict=True
+    ):
+        assert axis == same_axis
+        key = (axis, u.num, u.den) if u.is_rational() else (axis, id(u))
+        assert images.setdefault(key, v) is v
+    assert len({id(v) for v in images.values()}) == len(images)
+    assert len(images) < len(_coordinates(placed_figures))
+    # the renderer takes one cell per distinct value
+    calls = []
+
+    def counting(value, precision_bits):
+        calls.append(value)
+        return cell_midpoint(value, precision_bits)
+
+    monkeypatch.setattr(svg_render, "cell_midpoint", counting)
+    svg = svg_render.render_rule_output(out)
+    assert len(calls) == len(images)
+    monkeypatch.undo()
+    # direct similar calls, each mapping on its own, give equal figures and
+    # the same bytes
+    k = constructible(size)
+    eager = [similar(f, k, center) for f in unit_figures]
+    assert tuple(eager) == placed_figures
+    assert svg_render.to_svg(eager) == svg
 
 
 def test_importing_builds_nothing():

@@ -12,7 +12,7 @@ from math import isqrt
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from sulvalab import exactreal as er
@@ -155,6 +155,68 @@ def test_cell_midpoint_is_the_midpoint_of_the_cell(p):
     for bad in (3, 64.0):
         with pytest.raises(DomainError):
             er.cell_midpoint(1, bad)
+
+
+def _refined_cell(x: er.ConstructibleReal, p: int) -> tuple[er.Dyadic, er.Dyadic]:
+    """The cell the refinement loop finds for ``x``, with exact signs."""
+    ends = er._grid_cell(x._interval_raw, p, lambda g: er._sub(x, er._grid_point(g)).sign())
+    return er.Dyadic.of(*ends[0]), er.Dyadic.of(*ends[1])
+
+
+_SIDES = st.sampled_from([1, -1])
+_DYADICS = st.builds(
+    lambda m, e: m * Fraction(2) ** e, st.integers(-(2**80), 2**80), st.integers(-120, 120)
+)
+_RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(max_denominator=10**6),
+    # exact grid points, and dyadics wider than p
+    _DYADICS,
+    # within 2**-5000 of a dyadic
+    st.builds(
+        lambda g, side, d: g + side * Fraction(1, d * 2**5000),
+        _DYADICS,
+        _SIDES,
+        st.integers(1, 10**6),
+    ),
+    # powers of two and their neighbours
+    st.builds(
+        lambda side, e, t: side * (Fraction(2) ** e + t),
+        _SIDES,
+        st.integers(-300, 300),
+        st.sampled_from([0, 1, -1, Fraction(1, 2**4200), -Fraction(1, 2**4200)]),
+    ),
+    # 2,000-bit numerators and denominators
+    st.builds(Fraction, st.integers(-(2**2000), 2**2000), st.integers(1, 2**2000)),
+)
+
+
+@seed(20261022)
+@settings(max_examples=200, deadline=None)
+@given(_RATIONALS, st.integers(4, 4096))
+def test_a_rational_cell_is_the_refined_cell(value, p):
+    # one integer division finds the cell the refinement loop decides
+    x = constructible(value)
+    lo, hi = _refined_cell(x, p)
+    cell = enclose(x, p)
+    assert (cell.lo, cell.hi) == (lo, hi)
+    assert Quantity(x).enclose(p) == cell
+    m, _, e = er._span(lo, hi)
+    assert er.cell_midpoint(x, p) == er.Dyadic.of(m, e)
+    assert (lo == hi) == ((value / _spacing(value, p)).denominator == 1)
+
+
+def test_a_rational_cell_checks_its_precision():
+    third = Fraction(1, 3)
+    calls = (
+        lambda p: enclose(third, p),
+        lambda p: er.cell_midpoint(third, p),
+        Quantity(third).enclose,
+    )
+    for bad in (3, 64.0, True):
+        for call in calls:
+            with pytest.raises(DomainError):
+                call(bad)
 
 
 @pytest.mark.parametrize("p", [8, 64, 320])
